@@ -31,7 +31,11 @@
 //! the key that would regress if the snapshot path went O(fleet)),
 //! the chaos experiment's fault-injection event throughput
 //! (`chaos_events_per_sec` — B2 and OC3 fleets end-to-end, gating the
-//! hazard/burst bookkeeping on the event loop),
+//! hazard/burst bookkeeping on the event loop), server failover
+//! throughput at 512 and 16 servers under the same VM density
+//! (`failover_fails_per_sec{,_16}` — `check` holds the 512-server rate to
+//! a fixed fraction of the 16-server rate, so a failover that rescans
+//! the fleet fails the gate on any host),
 //! the governor's steady-state cache hit rate, and the worker count
 //! the pool resolved (`IC_PAR_WORKERS` or the machine's parallelism —
 //! wall-clock numbers only speed up with real cores).
@@ -50,7 +54,7 @@ use ic_cluster::cluster::Cluster;
 use ic_cluster::placement::{Oversubscription, PlacementPolicy};
 use ic_cluster::server::ServerSpec;
 use ic_cluster::vm::VmSpec;
-use ic_controlplane::{FleetWorld, World};
+use ic_controlplane::{Action, FleetConfigBuilder, FleetWorld, Outcome, World};
 use ic_core::governor::{GovernorConfig, OverclockGovernor};
 use ic_obs::json::{write_escaped, write_f64};
 use ic_power::cpu::CpuSku;
@@ -363,6 +367,49 @@ fn chaos_events_per_sec(quick: bool) -> f64 {
     best
 }
 
+/// Fail/repair cycles per failover measurement batch: a multiple of
+/// both fleet sizes, so every batch walks whole round-robin passes.
+const FAILOVER_CYCLES: u32 = 16_384;
+
+/// A fleet world of `servers` servers carrying `servers / 2` serving
+/// VMs (the `chaos` workload's density), with its round-robin cursor.
+fn failover_world(servers: usize) -> (FleetWorld, usize) {
+    let config = FleetConfigBuilder::small(1)
+        .servers(servers)
+        .initial_vms(servers / 2)
+        .build();
+    (FleetWorld::new(config), 0)
+}
+
+/// Fails the cursor's server, repairs it at once and advances the
+/// cursor, so the VMs keep moving from server to server.
+fn failover_cycle((world, next): &mut (FleetWorld, usize)) -> Outcome {
+    let t = SimTime::from_secs(1);
+    let server = *next;
+    *next = (server + 1) % world.cluster().servers().len();
+    let outcome = world.apply(t, "bench", &Action::FailServer { server });
+    world.apply(t, "bench", &Action::RepairServer { server });
+    outcome
+}
+
+/// Times `FailServer` at 512 and at 16 servers under the same VM
+/// density and returns failures per wall second at each size. Failover
+/// costs one placement per displaced VM, so the 512-server rate must
+/// not fall with the fleet size the way a fleet-wide rescan per failure
+/// makes it fall. Batches of the two sizes alternate, so a change in
+/// host speed moves both rates together and cancels out of the ratio
+/// `check` gates.
+fn failover_fails_per_sec(batches: u32) -> (f64, f64) {
+    let mut large = failover_world(512);
+    let mut small = failover_world(16);
+    let (mut best_large, mut best_small) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..batches {
+        best_large = best_large.min(best_of(1, FAILOVER_CYCLES, || failover_cycle(&mut large)));
+        best_small = best_small.min(best_of(1, FAILOVER_CYCLES, || failover_cycle(&mut small)));
+    }
+    (1.0 / best_large, 1.0 / best_small)
+}
+
 /// Exercises the governor's decision loop over a grid of power grants
 /// and reports the steady-state memo table's hit rate — the fraction of
 /// power/temperature fixed points served without re-solving.
@@ -416,6 +463,7 @@ fn trajectory_once(quick: bool) -> Vec<(&'static str, f64)> {
     let mode = if quick { Mode::Quick } else { Mode::Full };
     let table11 = run_one("table11", &Scenario::paper(), mode).expect("table11 is registered");
     let sweep_rps = sweep_runs_per_sec(quick);
+    let (failover_512, failover_16) = failover_fails_per_sec(batches);
     vec![
         ("engine_events_per_sec", ENGINE_EVENTS as f64 / engine_best),
         ("engine_ms_per_100k_events", engine_best * 1e3),
@@ -451,6 +499,8 @@ fn trajectory_once(quick: bool) -> Vec<(&'static str, f64)> {
             fleet10k_ctrl_ticks_per_sec(quick),
         ),
         ("chaos_events_per_sec", chaos_events_per_sec(quick)),
+        ("failover_fails_per_sec", failover_512),
+        ("failover_fails_per_sec_16", failover_16),
         ("steady_cache_hit_rate", governor_cache_hit_rate()),
         ("par_workers", ic_par::pool().workers() as f64),
     ]
@@ -459,7 +509,7 @@ fn trajectory_once(quick: bool) -> Vec<(&'static str, f64)> {
 /// Encodes the trajectory metrics as one deterministic-layout JSON
 /// object (only the measurements themselves vary run to run).
 fn trajectory_json(quick: bool, metrics: &[(&'static str, f64)]) -> String {
-    let mut out = String::from("{\"schema\":\"ic-bench/kernels/v6\",\"mode\":");
+    let mut out = String::from("{\"schema\":\"ic-bench/kernels/v7\",\"mode\":");
     write_escaped(if quick { "quick" } else { "full" }, &mut out);
     for (key, value) in metrics {
         out.push(',');
@@ -539,6 +589,9 @@ fn main() {
         "chaos_events                 {:>10.3} Mev/s  (B2 + OC3 fleets)",
         chaos_events_per_sec(true) / 1e6
     );
+    let (failover_512, failover_16) = failover_fails_per_sec(5);
+    println!("failover_fails               {failover_512:>10.3} fails/s (512 servers, 256 vms)");
+    println!("failover_fails_16            {failover_16:>10.3} fails/s (16 servers, 8 vms)");
     println!(
         "steady_cache_hit_rate        {:>10.3}",
         governor_cache_hit_rate()

@@ -16,6 +16,10 @@
 //! - `mgk_events_per_sec_v2` must hold [`MIN_V2_SPEEDUP`]× over the v1
 //!   value *in the same snapshot* — a same-host ratio, so runner speed
 //!   cancels out and the gate is immune to machine-to-machine drift;
+//! - `failover_fails_per_sec` (512 servers) must hold
+//!   [`MIN_FAILOVER_SIZE_RATIO`]× the same snapshot's 16-server rate
+//!   (`failover_fails_per_sec_16`): failover cost must track the VMs a
+//!   failure displaces, not the fleet size;
 //! - `schema` must match exactly, so stale baselines fail loudly;
 //! - context keys (`mode`, `par_workers`) are reported but never gate.
 //!
@@ -43,6 +47,11 @@ pub const MAX_NORMAL_V2_NS: f64 = 8.0;
 /// v1 (`mgk_events_per_sec_v2 / mgk_events_per_sec`).
 pub const MIN_V2_SPEEDUP: f64 = 1.5;
 
+/// Minimum same-snapshot ratio of the 512-server failover rate to the
+/// 16-server one at equal VM density. A failover that rescans the fleet
+/// per failure lands about two orders of magnitude below this.
+pub const MIN_FAILOVER_SIZE_RATIO: f64 = 0.25;
+
 /// How a key is judged against the baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Rule {
@@ -67,7 +76,7 @@ enum Rule {
     Info,
 }
 
-/// Every key of the `ic-bench/kernels/v6` snapshot with its rule.
+/// Every key of the `ic-bench/kernels/v7` snapshot with its rule.
 const RULES: &[(&str, Rule)] = &[
     ("schema", Rule::ExactStr),
     ("mode", Rule::Info),
@@ -93,6 +102,11 @@ const RULES: &[(&str, Rule)] = &[
     ("fleet_snapshot_ns_per_vm", Rule::TimeCeiling),
     ("fleet10k_ctrl_ticks_per_sec", Rule::RateFloor),
     ("chaos_events_per_sec", Rule::RateFloor),
+    (
+        "failover_fails_per_sec",
+        Rule::RatioFloor("failover_fails_per_sec_16", MIN_FAILOVER_SIZE_RATIO),
+    ),
+    ("failover_fails_per_sec_16", Rule::RateFloor),
     ("steady_cache_hit_rate", Rule::HitRateFloor),
     ("par_workers", Rule::Info),
 ];
@@ -256,7 +270,7 @@ pub fn check(baseline: &str, current: &str) -> Result<CheckReport, String> {
 mod tests {
     use super::*;
 
-    const BASELINE: &str = r#"{"schema":"ic-bench/kernels/v6","mode":"quick","engine_events_per_sec":22918209.2,"engine_ms_per_100k_events":4.363,"engine_steady_events_per_sec":26229326.6,"engine_steady_allocs_per_event":0,"normal_ns_per_sample_v1":30.5,"normal_ns_per_sample_v2":5.6,"mgk_events_per_sec":8930852.6,"mgk_events_per_sec_v2":14500000.0,"mgk_boxed_events":0,"table11_wall_ms":1617.3,"sweep_runs_per_sec":6.6,"composed_ctrl_ticks_per_sec":120.0,"composed_ctrl_ticks_per_sec_v2":240.0,"fleet_snapshot_ns_per_vm":45.0,"fleet10k_ctrl_ticks_per_sec":300.0,"chaos_events_per_sec":1200000.0,"steady_cache_hit_rate":0.996,"par_workers":1}"#;
+    const BASELINE: &str = r#"{"schema":"ic-bench/kernels/v7","mode":"quick","engine_events_per_sec":22918209.2,"engine_ms_per_100k_events":4.363,"engine_steady_events_per_sec":26229326.6,"engine_steady_allocs_per_event":0,"normal_ns_per_sample_v1":30.5,"normal_ns_per_sample_v2":5.6,"mgk_events_per_sec":8930852.6,"mgk_events_per_sec_v2":14500000.0,"mgk_boxed_events":0,"table11_wall_ms":1617.3,"sweep_runs_per_sec":6.6,"composed_ctrl_ticks_per_sec":120.0,"composed_ctrl_ticks_per_sec_v2":240.0,"fleet_snapshot_ns_per_vm":45.0,"fleet10k_ctrl_ticks_per_sec":300.0,"chaos_events_per_sec":1200000.0,"failover_fails_per_sec":2500000.0,"failover_fails_per_sec_16":6000000.0,"steady_cache_hit_rate":0.996,"par_workers":1}"#;
 
     #[test]
     fn identical_snapshot_passes_every_key() {
@@ -315,7 +329,7 @@ mod tests {
 
     #[test]
     fn schema_mismatch_and_missing_key_fail() {
-        let wrong_schema = BASELINE.replace("kernels/v6", "kernels/v5");
+        let wrong_schema = BASELINE.replace("kernels/v7", "kernels/v6");
         assert!(!check(BASELINE, &wrong_schema).unwrap().passed());
         let missing = BASELINE.replace("\"table11_wall_ms\":1617.3,", "");
         let report = check(BASELINE, &missing).unwrap();
@@ -408,6 +422,43 @@ mod tests {
             "{}",
             check(BASELINE, &slow_host).unwrap().render()
         );
+    }
+
+    #[test]
+    fn failover_must_not_slow_with_fleet_size() {
+        // A 512-server failover rate that fell to a rescan's ~1/200 of
+        // the 16-server rate fails, though it is judged against the
+        // same snapshot, not the baseline.
+        let rescan = BASELINE.replace(
+            "\"failover_fails_per_sec\":2500000.0",
+            "\"failover_fails_per_sec\":30000.0",
+        );
+        let report = check(BASELINE, &rescan).unwrap();
+        let failed: Vec<&str> = report
+            .results
+            .iter()
+            .filter(|r| !r.passed)
+            .map(|r| r.key)
+            .collect();
+        assert_eq!(failed, ["failover_fails_per_sec"], "{}", report.render());
+        // A host 4x slower on both sizes keeps the ratio and passes the
+        // ratio rule (the 16-server key then trips its own 3x floor).
+        let slow_host = BASELINE
+            .replace(
+                "\"failover_fails_per_sec\":2500000.0",
+                "\"failover_fails_per_sec\":625000.0",
+            )
+            .replace(
+                "\"failover_fails_per_sec_16\":6000000.0",
+                "\"failover_fails_per_sec_16\":1500000.0",
+            );
+        let report = check(BASELINE, &slow_host).unwrap();
+        let ratio = report
+            .results
+            .iter()
+            .find(|r| r.key == "failover_fails_per_sec")
+            .unwrap();
+        assert!(ratio.passed, "{}", report.render());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use ic_obs::trace::{TraceHandle, TraceLevel};
 use ic_obs::ObsSinks;
 use ic_sim::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Why a cluster operation failed.
@@ -36,12 +36,23 @@ impl fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
+/// One VM a failover re-created on a surviving server.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Recreated {
+    /// The displaced VM's id (no longer live).
+    pub old: VmId,
+    /// The id the re-created VM lives under.
+    pub new: VmId,
+    /// The re-created VM's host index.
+    pub host: usize,
+}
+
 /// The outcome of a server failure: which VMs were re-created and which
 /// could not be placed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FailoverReport {
-    /// VMs successfully re-created elsewhere (old id → new host index).
-    pub recreated: Vec<(VmId, usize)>,
+    /// VMs successfully re-created elsewhere, in displacement order.
+    pub recreated: Vec<Recreated>,
     /// VMs that found no capacity and are down.
     pub unplaced: Vec<VmId>,
 }
@@ -51,6 +62,13 @@ pub struct FailoverReport {
 pub struct Cluster {
     servers: Vec<Server>,
     vms: BTreeMap<VmId, VmInstance>,
+    /// Live VMs keyed by `(host, id)`, so a failure reads its displaced
+    /// VMs off one key range instead of scanning the fleet.
+    by_host: BTreeSet<(usize, VmId)>,
+    /// Healthy servers keyed by `(free vcores, index)`, so a WorstFit
+    /// placement walks down from the top instead of scanning every
+    /// server.
+    by_free: BTreeSet<(u32, usize)>,
     policy: PlacementPolicy,
     oversub: Oversubscription,
     next_id: u64,
@@ -65,14 +83,18 @@ impl Cluster {
     /// Panics if `specs` is empty.
     pub fn new(specs: Vec<ServerSpec>, policy: PlacementPolicy, oversub: Oversubscription) -> Self {
         assert!(!specs.is_empty(), "a cluster needs servers");
-        Cluster {
+        let mut cluster = Cluster {
+            by_host: BTreeSet::new(),
+            by_free: BTreeSet::new(),
             servers: specs.into_iter().map(Server::new).collect(),
             vms: BTreeMap::new(),
             policy,
             oversub,
             next_id: 0,
             sinks: ObsSinks::none(),
-        }
+        };
+        cluster.rebuild_free_index();
+        cluster
     }
 
     /// Attaches a trace recorder: VM lifecycle (create, delete, failover
@@ -106,14 +128,29 @@ impl Cluster {
         self.sinks = sinks;
     }
 
+    /// Emits one cluster event. `fields` runs only when a sink is
+    /// attached, so a detached cluster builds no field list and pays
+    /// for no trace-only aggregate (such as the packing density).
     fn emit(
         &self,
         now: SimTime,
         level: TraceLevel,
         kind: &'static str,
-        fields: Vec<(&'static str, Value)>,
+        fields: impl FnOnce() -> Vec<(&'static str, Value)>,
     ) {
-        self.sinks.instant(now, "cluster", level, kind, fields);
+        if !self.sinks.is_quiet() {
+            self.sinks.instant(now, "cluster", level, kind, fields());
+        }
+    }
+
+    /// Records a new placement in the inventory and the host index.
+    fn insert_vm(&mut self, spec: VmSpec, host: usize) -> VmId {
+        self.update_server(host, |s| s.allocate(spec.vcores(), spec.memory_gb()));
+        let id = VmId(self.next_id);
+        self.next_id += 1;
+        self.vms.insert(id, VmInstance { id, spec, host });
+        self.by_host.insert((host, id));
+        id
     }
 
     /// The servers, in index order.
@@ -141,6 +178,57 @@ impl Cluster {
     /// Changes the oversubscription ratio for *future* placements.
     pub fn set_oversubscription(&mut self, oversub: Oversubscription) {
         self.oversub = oversub;
+        self.rebuild_free_index();
+    }
+
+    /// A server's key in `by_free`: its free vcores under the current
+    /// oversubscription (zero when overcommitted), then its index.
+    fn free_key(&self, index: usize) -> (u32, usize) {
+        let server = &self.servers[index];
+        let capacity = self.oversub.vcore_capacity(server.spec().pcores());
+        (capacity.saturating_sub(server.allocated_vcores()), index)
+    }
+
+    fn rebuild_free_index(&mut self) {
+        self.by_free = (0..self.servers.len())
+            .filter(|&i| !self.servers[i].is_failed())
+            .map(|i| self.free_key(i))
+            .collect();
+    }
+
+    /// Applies `change` to one server and re-keys it in `by_free`.
+    fn update_server(&mut self, index: usize, change: impl FnOnce(&mut Server)) {
+        self.by_free.remove(&self.free_key(index));
+        change(&mut self.servers[index]);
+        if !self.servers[index].is_failed() {
+            self.by_free.insert(self.free_key(index));
+        }
+    }
+
+    /// The host the placement policy picks for `spec`, if any. WorstFit
+    /// is answered from `by_free`: descending `(free, index)` order
+    /// visits the most-free server first and, among equals, the highest
+    /// index — the server [`PlacementPolicy::choose`] picks by scanning.
+    fn choose_host(&self, spec: VmSpec) -> Option<usize> {
+        let (vcores, memory_gb) = (spec.vcores(), spec.memory_gb());
+        if self.policy != PlacementPolicy::WorstFit {
+            return self
+                .policy
+                .choose(&self.servers, vcores, memory_gb, self.oversub);
+        }
+        self.by_free
+            .iter()
+            .rev()
+            .take_while(|&&(free, _)| free >= vcores)
+            .map(|&(_, i)| i)
+            .find(|&i| {
+                let server = &self.servers[i];
+                server.fits(
+                    vcores,
+                    memory_gb,
+                    self.oversub.vcore_capacity(server.spec().pcores()),
+                )
+            })
     }
 
     /// Places a VM at simulation time `now` (stamped onto the emitted
@@ -151,42 +239,26 @@ impl Cluster {
     /// Returns [`ClusterError::InsufficientCapacity`] if no healthy
     /// server can host it.
     pub fn create_vm(&mut self, now: SimTime, spec: VmSpec) -> Result<VmId, ClusterError> {
-        let host =
-            match self
-                .policy
-                .choose(&self.servers, spec.vcores(), spec.memory_gb(), self.oversub)
-            {
-                Some(host) => host,
-                None => {
-                    self.emit(
-                        now,
-                        TraceLevel::Warn,
-                        "vm_reject",
-                        vec![
-                            ("vcores", Value::U64(spec.vcores() as u64)),
-                            ("memory_gb", Value::F64(spec.memory_gb())),
-                            ("density", Value::F64(self.packing_density())),
-                        ],
-                    );
-                    return Err(ClusterError::InsufficientCapacity);
-                }
-            };
-        self.servers[host].allocate(spec.vcores(), spec.memory_gb());
-        let id = VmId(self.next_id);
-        self.next_id += 1;
-        self.vms.insert(id, VmInstance { id, spec, host });
-        self.emit(
-            now,
-            TraceLevel::Info,
-            "vm_create",
+        let Some(host) = self.choose_host(spec) else {
+            self.emit(now, TraceLevel::Warn, "vm_reject", || {
+                vec![
+                    ("vcores", Value::U64(spec.vcores() as u64)),
+                    ("memory_gb", Value::F64(spec.memory_gb())),
+                    ("density", Value::F64(self.packing_density())),
+                ]
+            });
+            return Err(ClusterError::InsufficientCapacity);
+        };
+        let id = self.insert_vm(spec, host);
+        self.emit(now, TraceLevel::Info, "vm_create", || {
             vec![
                 ("vm", Value::U64(id.0)),
                 ("host", Value::U64(host as u64)),
                 ("vcores", Value::U64(spec.vcores() as u64)),
                 ("memory_gb", Value::F64(spec.memory_gb())),
                 ("density", Value::F64(self.packing_density())),
-            ],
-        );
+            ]
+        });
         Ok(id)
     }
 
@@ -197,21 +269,21 @@ impl Cluster {
     /// Returns [`ClusterError::UnknownVm`] if the id is not live.
     pub fn delete_vm(&mut self, now: SimTime, id: VmId) -> Result<(), ClusterError> {
         let vm = self.vms.remove(&id).ok_or(ClusterError::UnknownVm)?;
+        self.by_host.remove(&(vm.host, id));
         // The host may have failed since placement; failed servers have
         // already zeroed their allocations.
         if !self.servers[vm.host].is_failed() {
-            self.servers[vm.host].release(vm.spec.vcores(), vm.spec.memory_gb());
+            self.update_server(vm.host, |s| {
+                s.release(vm.spec.vcores(), vm.spec.memory_gb())
+            });
         }
-        self.emit(
-            now,
-            TraceLevel::Debug,
-            "vm_delete",
+        self.emit(now, TraceLevel::Debug, "vm_delete", || {
             vec![
                 ("vm", Value::U64(id.0)),
                 ("host", Value::U64(vm.host as u64)),
                 ("density", Value::F64(self.packing_density())),
-            ],
-        );
+            ]
+        });
         Ok(())
     }
 
@@ -225,14 +297,26 @@ impl Cluster {
         self.vms.len()
     }
 
-    /// All live VMs hosted on a server.
+    /// The ids of the live VMs on a server, ascending.
+    fn ids_on(&self, host: usize) -> impl Iterator<Item = VmId> + '_ {
+        self.by_host
+            .range((host, VmId(0))..=(host, VmId(u64::MAX)))
+            .map(|&(_, id)| id)
+    }
+
+    /// All live VMs hosted on a server, in id order.
     pub fn vms_on(&self, host: usize) -> Vec<&VmInstance> {
-        self.vms.values().filter(|vm| vm.host == host).collect()
+        self.ids_on(host).map(|id| &self.vms[&id]).collect()
     }
 
     /// Fails a server and re-creates its VMs elsewhere (the paper's
     /// buffer scenario, Figure 6). VMs that cannot be placed are
     /// reported and removed.
+    ///
+    /// Costs one placement decision per displaced VM (O(log servers)
+    /// under WorstFit, a scan under the other policies): the displaced
+    /// set comes from the per-host index, and the report names each
+    /// re-created VM's new id, so callers never rescan the fleet.
     ///
     /// # Errors
     ///
@@ -246,71 +330,47 @@ impl Cluster {
         if index >= self.servers.len() {
             return Err(ClusterError::UnknownServer);
         }
-        self.servers[index].fail();
-        let displaced: Vec<VmInstance> = self
-            .vms
-            .values()
-            .filter(|vm| vm.host == index)
-            .cloned()
-            .collect();
-        self.emit(
-            now,
-            TraceLevel::Warn,
-            "server_fail",
+        self.update_server(index, Server::fail);
+        let displaced: Vec<VmId> = self.ids_on(index).collect();
+        self.emit(now, TraceLevel::Warn, "server_fail", || {
             vec![
                 ("server", Value::U64(index as u64)),
                 ("displaced_vms", Value::U64(displaced.len() as u64)),
-            ],
-        );
+            ]
+        });
         let mut report = FailoverReport {
-            recreated: Vec::new(),
+            recreated: Vec::with_capacity(displaced.len()),
             unplaced: Vec::new(),
         };
-        for vm in displaced {
-            self.vms.remove(&vm.id);
-            match self.policy.choose(
-                &self.servers,
-                vm.spec.vcores(),
-                vm.spec.memory_gb(),
-                self.oversub,
-            ) {
+        for old in displaced {
+            self.by_host.remove(&(index, old));
+            let spec = self
+                .vms
+                .remove(&old)
+                .expect("the host index lists live VMs only")
+                .spec;
+            match self.choose_host(spec) {
                 Some(host) => {
-                    self.servers[host].allocate(vm.spec.vcores(), vm.spec.memory_gb());
-                    let id = VmId(self.next_id);
-                    self.next_id += 1;
-                    self.vms.insert(
-                        id,
-                        VmInstance {
-                            id,
-                            spec: vm.spec,
-                            host,
-                        },
-                    );
-                    self.emit(
-                        now,
-                        TraceLevel::Info,
-                        "vm_migrate",
+                    let new = self.insert_vm(spec, host);
+                    self.emit(now, TraceLevel::Info, "vm_migrate", || {
                         vec![
-                            ("vm", Value::U64(vm.id.0)),
+                            ("vm", Value::U64(old.0)),
                             ("from", Value::U64(index as u64)),
                             ("to", Value::U64(host as u64)),
-                            ("new_vm", Value::U64(id.0)),
-                        ],
-                    );
-                    report.recreated.push((vm.id, host));
+                            ("new_vm", Value::U64(new.0)),
+                        ]
+                    });
+                    report.recreated.push(Recreated { old, new, host });
                 }
                 None => {
-                    self.emit(
-                        now,
-                        TraceLevel::Warn,
-                        "vm_unplaced",
+                    self.emit(now, TraceLevel::Warn, "vm_unplaced", || {
                         vec![
-                            ("vm", Value::U64(vm.id.0)),
+                            ("vm", Value::U64(old.0)),
                             ("from", Value::U64(index as u64)),
-                            ("vcores", Value::U64(vm.spec.vcores() as u64)),
-                        ],
-                    );
-                    report.unplaced.push(vm.id);
+                            ("vcores", Value::U64(spec.vcores() as u64)),
+                        ]
+                    });
+                    report.unplaced.push(old);
                 }
             }
         }
@@ -332,13 +392,10 @@ impl Cluster {
         if !self.servers[index].is_failed() {
             return Ok(());
         }
-        self.servers[index].repair();
-        self.emit(
-            now,
-            TraceLevel::Info,
-            "server_repair",
-            vec![("server", Value::U64(index as u64))],
-        );
+        self.update_server(index, Server::repair);
+        self.emit(now, TraceLevel::Info, "server_repair", || {
+            vec![("server", Value::U64(index as u64))]
+        });
         Ok(())
     }
 
@@ -453,6 +510,99 @@ mod tests {
         assert!(report.unplaced.is_empty());
         assert_eq!(c.vm_count(), 4);
         assert!(c.vms_on(0).is_empty());
+    }
+
+    #[test]
+    fn failover_report_names_live_new_ids_on_their_hosts() {
+        // Three 16-core servers of four 4-vcore VMs each (FirstFit):
+        // failing server 0 displaces four VMs, two of which fit on
+        // server 2's free half.
+        let mut c = cluster(3, 16, 1.0);
+        for _ in 0..10 {
+            c.create_vm(SimTime::ZERO, VmSpec::new(4, 16.0)).unwrap();
+        }
+        let displaced: Vec<VmId> = c.vms_on(0).iter().map(|vm| vm.id).collect();
+        assert_eq!(displaced.len(), 4);
+        let report = c.fail_server(SimTime::ZERO, 0).unwrap();
+        assert_eq!(report.recreated.len(), 2);
+        assert_eq!(report.unplaced.len(), 2);
+        let mut reported: Vec<VmId> = report
+            .recreated
+            .iter()
+            .map(|r| r.old)
+            .chain(report.unplaced.iter().copied())
+            .collect();
+        reported.sort();
+        assert_eq!(reported, displaced, "every displaced VM is accounted for");
+        for r in &report.recreated {
+            assert!(c.vm(r.old).is_none(), "old id {:?} is gone", r.old);
+            let vm = c.vm(r.new).expect("new id is live");
+            assert_eq!(vm.host, r.host);
+            assert_ne!(r.host, 0, "never re-placed on the failed server");
+            assert!(c.vms_on(r.host).iter().any(|v| v.id == r.new));
+            assert!(!displaced.contains(&r.new), "new ids are fresh");
+        }
+        for id in &report.unplaced {
+            assert!(c.vm(*id).is_none(), "unplaced id {id:?} is gone");
+        }
+        assert_eq!(c.vm_count(), 8);
+        assert!(c.vms_on(0).is_empty());
+    }
+
+    #[test]
+    fn indexed_worst_fit_matches_the_scanning_policy() {
+        use ic_sim::rng::SimRng;
+        // Mixed shapes so free-vcore ties, memory-bound servers and
+        // overcommitted servers (after a ratio cut) all occur.
+        let specs: Vec<ServerSpec> = (0..12)
+            .map(|i| {
+                ServerSpec::custom(
+                    [8, 16, 24][i % 3],
+                    [32.0, 64.0, 128.0, 48.0][i % 4],
+                    Frequency::from_ghz(2.7),
+                    Frequency::from_ghz(3.3),
+                )
+            })
+            .collect();
+        let mut c = Cluster::new(
+            specs,
+            PlacementPolicy::WorstFit,
+            Oversubscription::ratio(1.25),
+        );
+        let mut rng = SimRng::seed_from_u64(17);
+        let mut live: Vec<VmId> = Vec::new();
+        for step in 0..3000 {
+            match rng.index(8) {
+                0..=3 => {
+                    let spec = VmSpec::new(1 + rng.index(8) as u32, rng.uniform_range(1.0, 40.0));
+                    let expect = PlacementPolicy::WorstFit.choose(
+                        c.servers(),
+                        spec.vcores(),
+                        spec.memory_gb(),
+                        c.oversubscription(),
+                    );
+                    assert_eq!(c.choose_host(spec), expect, "step {step}");
+                    if let Ok(id) = c.create_vm(SimTime::ZERO, spec) {
+                        assert_eq!(Some(c.vm(id).unwrap().host), expect);
+                        live.push(id);
+                    }
+                }
+                4 if !live.is_empty() => {
+                    let id = live.swap_remove(rng.index(live.len()));
+                    c.delete_vm(SimTime::ZERO, id).unwrap();
+                }
+                5 => {
+                    let report = c.fail_server(SimTime::ZERO, rng.index(12)).unwrap();
+                    live.retain(|id| c.vm(*id).is_some());
+                    live.extend(report.recreated.iter().map(|r| r.new));
+                }
+                6 => c.repair_server(SimTime::ZERO, rng.index(12)).unwrap(),
+                _ => {
+                    c.set_oversubscription(Oversubscription::ratio([1.0, 1.1, 1.25][rng.index(3)]))
+                }
+            }
+        }
+        assert_eq!(live.len(), c.vm_count());
     }
 
     #[test]

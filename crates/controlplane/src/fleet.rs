@@ -359,8 +359,8 @@ pub struct FleetWorld {
     schedule: Vec<(f64, f64)>,
     next_step: usize,
     vm_spec: VmSpec,
-    /// Live sim VM → its cluster placement, in placement order.
-    vm_map: Vec<(u64, VmId)>,
+    /// Cluster placement → the live sim VM it serves.
+    vm_map: BTreeMap<VmId, u64>,
     parked: Vec<u64>,
     budget_w: f64,
     domains: Vec<DomainSpec>,
@@ -433,6 +433,14 @@ impl FaultState {
             _ => None,
         }
     }
+}
+
+/// The snapshot's fault section, present whenever the world carries
+/// [`FaultState`] (it is seeded from it at construction).
+fn fault_section(snap: &mut TelemetrySnapshot) -> &mut FaultTelemetry {
+    snap.faults
+        .as_mut()
+        .expect("fault state implies a fault section")
 }
 
 /// Runtime state of the optional physical demand model.
@@ -510,13 +518,13 @@ impl FleetWorld {
                 Oversubscription::none()
             },
         );
-        let mut vm_map = Vec::new();
+        let mut vm_map = BTreeMap::new();
         for _ in 0..config.initial_vms {
             let vm = sim.add_vm() as u64;
             let cid = cluster
                 .create_vm(SimTime::ZERO, config.vm_spec)
                 .expect("cluster holds the initial fleet");
-            vm_map.push((vm, cid));
+            vm_map.insert(cid, vm);
         }
         // In-place power-row updates binary-search by domain id, so the
         // spec order must be ascending (it doubles as the stable
@@ -768,28 +776,6 @@ impl FleetWorld {
         }
         power.version += 1;
     }
-
-    /// Re-points `vm_map` after a failover: cluster ids that vanished
-    /// were either re-created under fresh ids (matched here, in id
-    /// order — the cluster allocates new ids in displacement order) or
-    /// reported unplaced (handled by the caller).
-    fn remap_recreated(&mut self, recreated: &[(VmId, usize)]) {
-        if recreated.is_empty() {
-            return;
-        }
-        let known: Vec<VmId> = self.vm_map.iter().map(|&(_, cid)| cid).collect();
-        let mut fresh: Vec<VmId> = (0..self.cluster.servers().len())
-            .flat_map(|h| self.cluster.vms_on(h))
-            .map(|vm| vm.id)
-            .filter(|id| !known.contains(id))
-            .collect();
-        fresh.sort();
-        for (&(old, _), &new_id) in recreated.iter().zip(&fresh) {
-            if let Some(entry) = self.vm_map.iter_mut().find(|(_, cid)| *cid == old) {
-                entry.1 = new_id;
-            }
-        }
-    }
 }
 
 impl World for FleetWorld {
@@ -872,8 +858,12 @@ impl World for FleetWorld {
             Action::ScaleIn { vm } => {
                 let outcome = apply_to_sim(&mut self.sim, action);
                 if outcome.accepted() {
-                    if let Some(pos) = self.vm_map.iter().position(|&(v, _)| v == *vm) {
-                        let (_, cid) = self.vm_map.remove(pos);
+                    let placement = self
+                        .vm_map
+                        .iter()
+                        .find_map(|(&cid, &v)| (v == *vm).then_some(cid));
+                    if let Some(cid) = placement {
+                        self.vm_map.remove(&cid);
                         let _ = self.cluster.delete_vm(now, cid);
                         self.cluster_dirty = true;
                     }
@@ -918,10 +908,13 @@ impl World for FleetWorld {
                         self.down_since[*server] = Some(now);
                         self.failures_applied += 1;
                     }
-                    self.remap_recreated(&report.recreated);
+                    for r in &report.recreated {
+                        if let Some(vm) = self.vm_map.remove(&r.old) {
+                            self.vm_map.insert(r.new, vm);
+                        }
+                    }
                     for cid in &report.unplaced {
-                        if let Some(pos) = self.vm_map.iter().position(|&(_, c)| c == *cid) {
-                            let (vm, _) = self.vm_map.remove(pos);
+                        if let Some(vm) = self.vm_map.remove(cid) {
                             self.sim.remove_vm(vm as usize);
                             self.parked.push(vm);
                         }
@@ -961,7 +954,7 @@ impl World for FleetWorld {
                         self.parked.remove(pos);
                         let host = self.cluster.vm(cid).map(|v| v.host).unwrap_or(0);
                         let new_vm = self.sim.add_vm() as u64;
-                        self.vm_map.push((new_vm, cid));
+                        self.vm_map.insert(cid, new_vm);
                         self.cluster_dirty = true;
                         self.recovered_vms += 1;
                         Outcome::Migrated {
@@ -983,7 +976,9 @@ impl World for FleetWorld {
                     if faults.fleet_ratio != *ratio {
                         faults.fleet_ratio = *ratio;
                         faults.version += 1;
-                        self.snap.faults = Some(faults.telemetry());
+                        let section = fault_section(&mut self.snap);
+                        section.fleet_ratio = faults.fleet_ratio;
+                        section.version = faults.version;
                     }
                 }
                 apply_to_sim(&mut self.sim, action)
@@ -1002,7 +997,12 @@ impl World for FleetWorld {
                 *slot += count;
                 faults.error_bursts += 1;
                 faults.version += 1;
-                self.snap.faults = Some(faults.telemetry());
+                // Mirror the one changed counter; cloning the whole
+                // per-server vector would cost O(servers) per burst.
+                let section = fault_section(&mut self.snap);
+                section.errors_by_server[*server] = *slot;
+                section.error_bursts = faults.error_bursts;
+                section.version = faults.version;
                 Outcome::Applied
             }
             Action::FreezeTelemetry { until } => {
@@ -1035,7 +1035,7 @@ impl World for FleetWorld {
         match self.cluster.create_vm(now, self.vm_spec) {
             Ok(cid) => {
                 let vm = self.sim.add_vm() as u64;
-                self.vm_map.push((vm, cid));
+                self.vm_map.insert(cid, vm);
                 self.cluster_dirty = true;
                 Outcome::VmCreated { vm }
             }
@@ -1271,13 +1271,47 @@ mod tests {
         assert_eq!(world.telemetry(SimTime::from_secs(1)).vms.len(), 1);
     }
 
+    /// Asserts that `vm_map` pairs the cluster's live VMs one-to-one
+    /// with the serving sim's active VMs: its cluster ids are exactly
+    /// the cluster's live set and its sim ids exactly `active_ids()`.
+    fn assert_vm_map_bijection(world: &FleetWorld, context: &str) {
+        let mapped: Vec<VmId> = world.vm_map.keys().copied().collect();
+        let cluster = world.cluster();
+        let mut live: Vec<VmId> = (0..cluster.servers().len())
+            .flat_map(|h| cluster.vms_on(h))
+            .map(|vm| vm.id)
+            .collect();
+        live.sort();
+        assert_eq!(live.len(), cluster.vm_count(), "host index ({context})");
+        assert_eq!(mapped, live, "cluster ids ({context})");
+        let mut sims: Vec<u64> = world.vm_map.values().copied().collect();
+        sims.sort();
+        let mut active: Vec<u64> = world.sim().active_ids().iter().map(|&v| v as u64).collect();
+        active.sort();
+        assert_eq!(sims, active, "sim ids ({context})");
+    }
+
+    /// Failure attempts a property run made, and how many of them
+    /// re-created at least one VM.
+    #[derive(Debug, Default)]
+    struct FailureTally {
+        fails: usize,
+        recreating: usize,
+    }
+
     /// Drives `world` through `steps` random actuations (scale, power,
     /// frequency, failure, repair, migration) and asserts after every
     /// step — sometimes with intervening telemetry reads, sometimes
     /// with several actions batched between reads — that the
     /// incrementally maintained snapshot is bitwise-identical to a
-    /// from-scratch recompute.
-    fn check_incremental_matches_recompute(mut world: FleetWorld, seed: u64, steps: usize) {
+    /// from-scratch recompute, and that `vm_map` stays a bijection
+    /// between the cluster's and the sim's live VMs.
+    fn check_incremental_matches_recompute(
+        mut world: FleetWorld,
+        seed: u64,
+        steps: usize,
+    ) -> FailureTally {
+        let mut tally = FailureTally::default();
         use ic_sim::rng::SimRng;
         let mut rng = SimRng::seed_from_u64(seed);
         let mut t = SimTime::ZERO;
@@ -1327,7 +1361,11 @@ mod tests {
                 }
                 5 => {
                     let server = rng.index(servers);
-                    let _ = world.apply(t, "prop", &Action::FailServer { server });
+                    let outcome = world.apply(t, "prop", &Action::FailServer { server });
+                    tally.fails += 1;
+                    if matches!(outcome, Outcome::FailedOver { recreated, .. } if recreated > 0) {
+                        tally.recreating += 1;
+                    }
                 }
                 6 => {
                     let server = rng.index(servers);
@@ -1360,6 +1398,7 @@ mod tests {
                     let _ = world.apply(t, "prop", &Action::SetShare { share });
                 }
             }
+            assert_vm_map_bijection(&world, &format!("step {step}, seed {seed}"));
             // Sometimes skip the read so dirt accumulates across
             // several actuations before the next refresh.
             if rng.index(3) == 0 {
@@ -1375,6 +1414,25 @@ mod tests {
             &expect,
             "final divergence (seed {seed})"
         );
+        tally
+    }
+
+    #[test]
+    fn vm_map_stays_a_bijection_through_failovers_on_a_large_fleet() {
+        // 64 servers under 96 VMs: WorstFit leaves every server hosting
+        // one or two, so nearly every failure re-creates VMs.
+        for seed in [3, 29] {
+            let config = FleetConfigBuilder::small(seed)
+                .servers(64)
+                .initial_vms(96)
+                .faults(FaultConfig::disabled())
+                .build();
+            let tally = check_incremental_matches_recompute(FleetWorld::new(config), seed, 400);
+            assert!(
+                tally.recreating * 2 > tally.fails && tally.fails >= 20,
+                "too few re-creating failures: {tally:?} (seed {seed})"
+            );
+        }
     }
 
     #[test]
