@@ -16,10 +16,8 @@
 use crate::policy::{AscConfig, Policy, ScalingMetric};
 use ic_controlplane::fleet::{apply_to_sim, sim_complete_scale_out, sim_snapshot};
 use ic_controlplane::{Action, Controller, FreqTarget, Outcome, TelemetrySnapshot};
-use ic_obs::flight::FlightHandle;
+use ic_obs::flight::TraceLevel;
 use ic_obs::json::Value;
-use ic_obs::metrics::MetricsHandle;
-use ic_obs::trace::{TraceHandle, TraceLevel};
 use ic_obs::ObsSinks;
 use ic_sim::stats::SlidingWindow;
 use ic_sim::time::{SimDuration, SimTime};
@@ -101,34 +99,17 @@ impl AutoScaler {
         }
     }
 
-    /// Attaches the full observability bundle in one call (see the
-    /// per-sink `attach_*` methods for what each records).
-    pub fn attach_sinks(&mut self, sinks: ObsSinks) {
-        self.sinks = sinks;
-    }
-
-    /// Attaches a trace recorder: every controller transition —
-    /// scale-out initiation/completion, scale-in, frequency change —
-    /// is emitted with its Equation-1 inputs and outputs, and each
-    /// decision step leaves a `Debug`-level record.
-    pub fn attach_trace(&mut self, trace: TraceHandle) {
-        self.sinks.set_trace(trace);
-    }
-
-    /// Attaches a metrics registry: decision counters
+    /// Attaches the observability bundle. With a flight recorder, every
+    /// controller transition — scale-out initiation/completion,
+    /// scale-in, frequency change — is recorded as an instant with its
+    /// Equation-1 inputs and outputs, and each decision step leaves a
+    /// `Debug`-level instant, so scale decisions line up with engine
+    /// phases and runner windows in the exported trace. With a metrics
+    /// registry, it keeps decision counters
     /// (`asc_decisions_total{kind}`), the active-VM and frequency-ratio
     /// gauges, and a utilization histogram (`asc_step_util`).
-    pub fn attach_metrics(&mut self, metrics: MetricsHandle) {
-        self.sinks.set_metrics(metrics);
-    }
-
-    /// Attaches a flight recorder: every emitted controller transition
-    /// is mirrored as an instant on the flight timeline (same kinds and
-    /// fields as [`attach_trace`](Self::attach_trace)), so scale
-    /// decisions and Equation-1 evaluations line up with engine phases
-    /// and runner windows in the exported trace.
-    pub fn attach_flight(&mut self, flight: FlightHandle) {
-        self.sinks.set_flight(flight);
+    pub fn attach_sinks(&mut self, sinks: ObsSinks) {
+        self.sinks = sinks;
     }
 
     fn emit(

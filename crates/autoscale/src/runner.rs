@@ -17,10 +17,8 @@ use ic_controlplane::{
     Action, ControlPlane, Controller, Outcome, TelemetrySnapshot, TickReport, World,
 };
 use ic_obs::engine_obs::EngineSpans;
-use ic_obs::flight::{FlightHandle, FlightRecorder};
+use ic_obs::flight::{FlightHandle, FlightRecorder, TraceLevel};
 use ic_obs::json::Value;
-use ic_obs::metrics::MetricsHandle;
-use ic_obs::trace::{TraceHandle, TraceLevel};
 use ic_obs::ObsSinks;
 use ic_power::units::{Frequency, Voltage};
 use ic_power::vf::VfCurve;
@@ -305,39 +303,18 @@ impl Runner {
         }
     }
 
-    /// Attaches the full observability bundle in one call (see the
-    /// per-sink `with_*` builders for what each records).
+    /// Attaches the observability bundle. With a flight recorder, the
+    /// run is recorded as a run-level span wrapping one `runner`/`step`
+    /// span per decision window, per-event-kind engine phases (via
+    /// [`EngineSpans`]) flushed each window onto their own tracks, and
+    /// the auto-scaler's decision instants. All timestamps are
+    /// simulation time, so same-seed runs export byte-identical traces.
+    /// With a metrics registry, the runner leaves
+    /// `runner_p95_latency_s`, `runner_vm_hours`, `runner_max_vms`, and
+    /// `runner_avg_power_w` gauges beside the auto-scaler's own
+    /// counters, so a summary can be printed from the registry alone.
     pub fn with_sinks(mut self, sinks: ObsSinks) -> Self {
         self.sinks = sinks;
-        self
-    }
-
-    /// Routes the auto-scaler's structured trace events into `trace`.
-    /// Events are keyed by simulation time and recorder sequence only,
-    /// so two same-seed runs emit byte-identical streams.
-    pub fn with_trace(mut self, trace: TraceHandle) -> Self {
-        self.sinks.set_trace(trace);
-        self
-    }
-
-    /// Records controller and run-level metrics into `metrics`; besides
-    /// the auto-scaler's own counters, the runner leaves
-    /// `runner_p95_latency_s`, `runner_vm_hours`, `runner_max_vms`, and
-    /// `runner_avg_power_w` gauges so a summary can be printed from the
-    /// registry alone.
-    pub fn with_metrics(mut self, metrics: MetricsHandle) -> Self {
-        self.sinks.set_metrics(metrics);
-        self
-    }
-
-    /// Records the run on a flight recorder: a run-level span wrapping
-    /// one `runner`/`step` span per decision window, per-event-kind
-    /// engine phases (via [`EngineSpans`]) flushed each window onto
-    /// their own tracks, and the auto-scaler's decision instants. All
-    /// timestamps are simulation time, so same-seed runs export
-    /// byte-identical traces.
-    pub fn with_flight(mut self, flight: FlightHandle) -> Self {
-        self.sinks.set_flight(flight);
         self
     }
 
@@ -469,7 +446,7 @@ pub fn run_batch_traced(
         TASK_FLIGHT_CAPACITY,
         |_, (config, policy, seed), task_flight| {
             Runner::new(config, policy, seed)
-                .with_flight(task_flight.clone())
+                .with_sinks(ObsSinks::none().with_flight(task_flight.clone()))
                 .run()
         },
     );
@@ -629,7 +606,7 @@ mod tests {
         let cfg = quick_config();
         let windows = (cfg.duration_s() / cfg.asc.decision_period_s).round() as u64;
         let r = Runner::new(cfg, Policy::OcA, 3)
-            .with_flight(flight.clone())
+            .with_sinks(ObsSinks::none().with_flight(flight.clone()))
             .run();
         assert!(r.completed > 0);
         let rec = flight.borrow();
@@ -669,7 +646,7 @@ mod tests {
                 TASK_FLIGHT_CAPACITY,
                 |_, (config, policy, seed), task_flight| {
                     Runner::new(config, policy, seed)
-                        .with_flight(task_flight.clone())
+                        .with_sinks(ObsSinks::none().with_flight(task_flight.clone()))
                         .run()
                 },
             );

@@ -9,6 +9,7 @@ use ic_core::usecases::capacity::{CapacitySnapshot, CapacityTimeline};
 use ic_core::usecases::highperf::VmPerformanceClass;
 use ic_core::usecases::packing::plan_packing;
 use ic_obs::flight::FlightHandle;
+use ic_obs::ObsSinks;
 use ic_sim::series::merge_csv;
 use ic_workloads::configs::CpuConfig;
 use ic_workloads::gpu::figure11_sweep;
@@ -558,7 +559,7 @@ fn fig15_run_with(quick: bool, flight: Option<&FlightHandle>) -> ic_autoscale::r
     }
     let mut runner = Runner::new(config, Policy::OcA, 42);
     if let Some(flight) = flight {
-        runner = runner.with_flight(flight.clone());
+        runner = runner.with_sinks(ObsSinks::none().with_flight(flight.clone()));
     }
     runner.run()
 }

@@ -2,36 +2,44 @@
 //! paper's evaluation.
 //!
 //! Each experiment lives in [`experiments`] as a function returning the
-//! rendered rows/series; the `src/bin/*` binaries are thin wrappers, and
-//! `run-all` executes everything in paper order (writing the combined
-//! report that `EXPERIMENTS.md` is checked against).
+//! rendered rows/series and is registered in [`registry`] under a short
+//! id. One driver runs them: `run_all` executes everything in paper
+//! order (writing the combined report that `EXPERIMENTS.md` is checked
+//! against), and `run_all --only <id>` prints a single experiment —
+//! `run_all --list` names every id:
 //!
-//! | Binary | Reproduces |
+//! | Id | Reproduces |
 //! |---|---|
-//! | `table1_cooling` | Table I — cooling-technology comparison |
-//! | `table2_fluids` | Table II — dielectric fluid properties |
-//! | `table3_turbo` | Table III — max turbo, air vs 2PIC |
-//! | `table4_failure_modes` | Table IV — failure-mode dependencies |
-//! | `table5_lifetime` | Table V — lifetime projections |
-//! | `table6_tco` | Table VI — TCO deltas |
-//! | `table7_cpu_configs` | Table VII — CPU frequency configurations |
-//! | `table8_gpu_configs` | Table VIII — GPU configurations |
-//! | `table9_apps` | Table IX — application suite |
-//! | `table11_autoscaler` | Table XI — full auto-scaler comparison |
-//! | `fig4_domains` | Figure 4 — operating domains |
-//! | `fig5_usecases` | Figure 5 — frequency bands and packing |
-//! | `fig6_buffers` | Figure 6 — static vs virtual buffers |
-//! | `fig7_capacity` | Figure 7 — capacity-crisis bridging |
-//! | `fig8_scaleup` | Figure 8 — scale-up-then-out timelines |
-//! | `fig9_cloud_workloads` | Figure 9 — per-app overclocking response |
-//! | `fig10_stream` | Figure 10 — STREAM bandwidth |
-//! | `fig11_gpu` | Figure 11 — VGG training under GPU overclocking |
-//! | `fig12_sql_oversub` | Figure 12 — SQL P95 vs pcores |
-//! | `fig13_mixed_oversub` | Figure 13 / Table X — mixed oversubscription |
-//! | `fig14_architecture` | Figure 14 — ASC components and cadences |
-//! | `fig15_validation` | Figure 15 — Equation 1 validation trace |
-//! | `fig16_utilization` | Figure 16 — policy utilization traces |
-//! | `composed_controlplane` | Composed control plane — ASC + capping + governor + failover |
+//! | `table1` | Table I — cooling-technology comparison |
+//! | `table2` | Table II — dielectric fluid properties |
+//! | `table3` | Table III — max turbo, air vs 2PIC |
+//! | `table4` | Table IV — failure-mode dependencies |
+//! | `table5` | Table V — lifetime projections |
+//! | `table6` | Table VI — TCO deltas |
+//! | `table7` | Table VII — CPU frequency configurations |
+//! | `table8` | Table VIII — GPU configurations |
+//! | `table9` | Table IX — application suite |
+//! | `table11` | Table XI — full auto-scaler comparison |
+//! | `fig4` | Figure 4 — operating domains |
+//! | `fig5` | Figure 5 — frequency bands and packing |
+//! | `fig6` | Figure 6 — static vs virtual buffers |
+//! | `fig7` | Figure 7 — capacity-crisis bridging |
+//! | `fig8` | Figure 8 — scale-up-then-out timelines |
+//! | `fig9` | Figure 9 — per-app overclocking response |
+//! | `fig10` | Figure 10 — STREAM bandwidth |
+//! | `fig11` | Figure 11 — VGG training under GPU overclocking |
+//! | `fig12` | Figure 12 — SQL P95 vs pcores |
+//! | `fig13` | Figure 13 / Table X — mixed oversubscription |
+//! | `fig14` | Figure 14 — ASC components and cadences |
+//! | `fig15` | Figure 15 — Equation 1 validation trace |
+//! | `fig16` | Figure 16 — policy utilization traces |
+//! | `composed`, `composed_v2` | Composed control plane — ASC + capping + governor + failover |
+//! | `fleet_scale` | Fleet-scale control plane — 100 / 1k / 10k power domains |
+//! | `chaos` | Chaos — wear-coupled faults and graceful degradation |
+//!
+//! The other binaries are `check` (the kernel-benchmark gate),
+//! `dump_scenario` (the paper scenario as JSON) and the four
+//! `ablation_*` studies, which are not registered experiments.
 
 pub mod check;
 pub mod experiments;

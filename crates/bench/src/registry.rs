@@ -11,8 +11,7 @@
 
 use crate::experiments::{chaos, composed, figures, fleet_scale, tables};
 use crate::report::{ExperimentRecord, Metric};
-use ic_obs::flight::FlightHandle;
-use ic_obs::trace::TraceLevel;
+use ic_obs::flight::{FlightHandle, TraceLevel};
 use ic_par::ParPool;
 use ic_scenario::Scenario;
 use ic_sim::rng::StreamVersion;

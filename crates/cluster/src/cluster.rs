@@ -4,9 +4,8 @@
 use crate::placement::{Oversubscription, PlacementPolicy};
 use crate::server::{Server, ServerSpec};
 use crate::vm::{VmId, VmInstance, VmSpec};
-use ic_obs::flight::FlightHandle;
+use ic_obs::flight::TraceLevel;
 use ic_obs::json::Value;
-use ic_obs::trace::{TraceHandle, TraceLevel};
 use ic_obs::ObsSinks;
 use ic_sim::time::SimTime;
 use serde::{Deserialize, Serialize};
@@ -97,33 +96,12 @@ impl Cluster {
         cluster
     }
 
-    /// Attaches a trace recorder: VM lifecycle (create, delete, failover
-    /// migration) and server failures/repairs are emitted as structured
-    /// events. The cluster has no clock of its own — every mutating
-    /// method takes the current simulation time, which flows from the
-    /// driving event loop (the control plane's tick time or the
-    /// lifecycle engine's `now`).
-    pub fn attach_trace(&mut self, trace: TraceHandle) {
-        self.sinks.set_trace(trace);
-    }
-
-    /// The attached trace recorder, if any — so drivers can emit their
-    /// own events (density samples, schedule changes) into the same
-    /// stream.
-    pub fn trace_handle(&self) -> Option<&TraceHandle> {
-        self.sinks.trace()
-    }
-
-    /// Attaches a flight recorder: every emitted cluster event —
-    /// placement, deletion, failover migration, server failure/repair —
-    /// is mirrored as an instant on the flight timeline at the event's
-    /// simulation time, alongside any
-    /// [`attach_trace`](Self::attach_trace) stream.
-    pub fn attach_flight(&mut self, flight: FlightHandle) {
-        self.sinks.set_flight(flight);
-    }
-
-    /// Attaches the whole observability bundle at once.
+    /// Attaches the observability bundle: VM lifecycle (create,
+    /// delete, failover migration) and server failures/repairs are
+    /// recorded as instants on the flight timeline. The cluster has no
+    /// clock of its own — every mutating method takes the current
+    /// simulation time, which flows from the driving event loop (the
+    /// control plane's tick time or the lifecycle engine's `now`).
     pub fn attach_sinks(&mut self, sinks: ObsSinks) {
         self.sinks = sinks;
     }
@@ -131,7 +109,7 @@ impl Cluster {
     /// Emits one cluster event. `fields` runs only when a sink is
     /// attached, so a detached cluster builds no field list and pays
     /// for no trace-only aggregate (such as the packing density).
-    fn emit(
+    pub(crate) fn emit(
         &self,
         now: SimTime,
         level: TraceLevel,
@@ -658,11 +636,11 @@ mod tests {
 
     #[test]
     fn traced_cluster_emits_lifecycle_events() {
-        use ic_obs::trace::{shared_recorder, TraceLevel};
+        use ic_obs::flight::{shared_flight, SpanKind, TraceLevel};
 
-        let trace = shared_recorder(64);
+        let flight = shared_flight(64);
         let mut c = cluster(2, 16, 1.0);
-        c.attach_trace(trace.clone());
+        c.attach_sinks(ObsSinks::none().with_flight(flight.clone()));
         let t10 = SimTime::from_secs(10);
         let a = c.create_vm(t10, VmSpec::new(16, 16.0)).unwrap();
         let _b = c.create_vm(t10, VmSpec::new(16, 16.0)).unwrap();
@@ -676,7 +654,7 @@ mod tests {
         let survivor = c.vms_on(1 - host)[0].id;
         c.delete_vm(SimTime::from_secs(30), survivor).unwrap();
 
-        let rec = trace.borrow();
+        let rec = flight.borrow();
         let counts = rec.counts_by_kind();
         assert_eq!(counts[&("cluster", "vm_create")], 2);
         assert_eq!(counts[&("cluster", "vm_reject")], 1);
@@ -684,39 +662,17 @@ mod tests {
         assert_eq!(counts[&("cluster", "vm_unplaced")], 1);
         assert_eq!(counts[&("cluster", "server_repair")], 1);
         assert_eq!(counts[&("cluster", "vm_delete")], 1);
+        // Every cluster event is a zero-duration instant.
+        assert!(rec.spans().all(|s| s.kind == SpanKind::Instant));
         // Rejections and failures are anomalies: Warn level.
         assert!(rec
-            .events()
-            .filter(|e| e.kind == "vm_reject" || e.kind == "server_fail")
-            .all(|e| e.level == TraceLevel::Warn));
+            .spans()
+            .filter(|s| s.name == "vm_reject" || s.name == "server_fail")
+            .all(|s| s.level == TraceLevel::Warn));
         // Timestamps come from the driver-maintained clock.
-        assert!(rec.events().any(|e| e.sim_time == SimTime::from_secs(20)));
-    }
-
-    #[test]
-    fn flight_mirror_matches_trace_stream() {
-        use ic_obs::flight::shared_flight;
-        use ic_obs::trace::shared_recorder;
-
-        let trace = shared_recorder(64);
-        let flight = shared_flight(64);
-        let mut c = cluster(2, 16, 1.0);
-        c.attach_trace(trace.clone());
-        c.attach_flight(flight.clone());
-        let a = c
-            .create_vm(SimTime::from_secs(10), VmSpec::new(8, 8.0))
-            .unwrap();
-        c.delete_vm(SimTime::from_secs(20), a).unwrap();
-
-        // The flight instants mirror the trace events one-for-one.
-        assert_eq!(
-            flight.borrow().counts_by_kind(),
-            trace.borrow().counts_by_kind()
-        );
-        let rec = flight.borrow();
         let delete = rec.spans().find(|s| s.name == "vm_delete").unwrap();
-        assert_eq!(delete.start, SimTime::from_secs(20));
-        assert_eq!(delete.kind, ic_obs::flight::SpanKind::Instant);
+        assert_eq!(delete.start, SimTime::from_secs(30));
+        assert!(rec.spans().any(|s| s.start == SimTime::from_secs(20)));
     }
 
     #[test]

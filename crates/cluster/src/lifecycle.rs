@@ -9,6 +9,8 @@
 
 use crate::cluster::Cluster;
 use crate::vm::{VmId, VmSpec};
+use ic_obs::flight::TraceLevel;
+use ic_obs::json::Value;
 use ic_sim::dist::{Dist, Exponential, LogNormal};
 use ic_sim::engine::Engine;
 use ic_sim::rng::SimRng;
@@ -184,26 +186,25 @@ fn sample_density(state: &mut State, engine: &mut Engine<State>) {
     // healthy pcores, colocated VMs contend for cycles; the excess ratio
     // is the interference pressure the paper's Section V overclocking
     // compensates for.
-    if let Some(trace) = state.cluster.trace_handle() {
-        trace.borrow_mut().emit(
-            engine.now(),
-            "cluster",
-            if density > 1.0 {
-                ic_obs::trace::TraceLevel::Info
-            } else {
-                ic_obs::trace::TraceLevel::Debug
-            },
-            "oversub_sample",
+    state.cluster.emit(
+        engine.now(),
+        if density > 1.0 {
+            TraceLevel::Info
+        } else {
+            TraceLevel::Debug
+        },
+        "oversub_sample",
+        || {
             vec![
-                ("density", ic_obs::json::Value::F64(density)),
-                ("oversubscribed", ic_obs::json::Value::Bool(density > 1.0)),
+                ("density", Value::F64(density)),
+                ("oversubscribed", Value::Bool(density > 1.0)),
                 (
                     "interference_pressure",
-                    ic_obs::json::Value::F64((density - 1.0).max(0.0)),
+                    Value::F64((density - 1.0).max(0.0)),
                 ),
-            ],
-        );
-    }
+            ]
+        },
+    );
     engine.schedule_in_labeled(SimDuration::from_secs(60), "density_sample", sample_density);
 }
 
@@ -295,20 +296,30 @@ mod tests {
 
     #[test]
     fn traced_lifecycle_records_vm_events() {
-        let trace = ic_obs::trace::shared_recorder(100_000);
+        use ic_obs::flight::shared_flight;
+        use ic_obs::ObsSinks;
+
+        let flight = shared_flight(100_000);
         let mut cluster = small_cluster(8, 1.2);
-        cluster.attach_trace(trace.clone());
+        cluster.attach_sinks(ObsSinks::none().with_flight(flight.clone()));
         let r = run_lifecycle(cluster, &quick_config(), SimTime::from_secs(3600), 5);
-        let rec = trace.borrow();
+        let rec = flight.borrow();
         let counts = rec.counts_by_kind();
         let creates = counts.get(&("cluster", "vm_create")).copied().unwrap_or(0);
         assert_eq!(creates, r.accepted, "one vm_create per accepted VM");
-        assert!(counts.contains_key(&("cluster", "oversub_sample")));
+        assert!(counts[&("cluster", "oversub_sample")] > 0);
+        // Dense samples are Info, the rest Debug.
+        let samples: Vec<_> = rec.spans().filter(|s| s.name == "oversub_sample").collect();
+        assert!(samples.iter().any(|s| s.level == TraceLevel::Info));
+        assert!(samples.iter().all(|s| {
+            let oversubscribed = s.fields.contains(&("oversubscribed", Value::Bool(true)));
+            (s.level == TraceLevel::Info) == oversubscribed
+        }));
         // Event timestamps follow the simulation clock, not wall time.
         let mut last = SimTime::ZERO;
-        for e in rec.events() {
-            assert!(e.sim_time >= last, "trace went backwards at seq {}", e.seq);
-            last = e.sim_time;
+        for s in rec.spans() {
+            assert!(s.start >= last, "trace went backwards at seq {}", s.seq);
+            last = s.start;
         }
     }
 

@@ -13,8 +13,8 @@
 
 use crate::action::{Action, Outcome};
 use crate::controller::{Controller, TickReport, World};
+use ic_obs::flight::TraceLevel;
 use ic_obs::json::Value;
-use ic_obs::trace::TraceLevel;
 use ic_obs::ObsSinks;
 use ic_sim::engine::Engine;
 use ic_sim::time::{SimDuration, SimTime};

@@ -17,14 +17,11 @@
 //! The answer is the bin-aligned minimum of the three ceilings.
 
 use crate::domains::OperatingDomains;
-use ic_obs::json::Value;
-use ic_obs::trace::{TraceHandle, TraceLevel};
 use ic_power::cache::SteadyStateCache;
 use ic_power::cpu::CpuSku;
 use ic_power::units::Frequency;
 use ic_reliability::lifetime::{CompositeLifetimeModel, OperatingConditions};
 use ic_reliability::stability::StabilityModel;
-use ic_sim::time::SimTime;
 use ic_thermal::junction::ThermalInterface;
 use serde::{Deserialize, Serialize};
 
@@ -226,42 +223,6 @@ impl OverclockGovernor {
         }
     }
 
-    /// [`decide`](Self::decide), plus one structured trace record of the
-    /// full frequency plan: the budget inputs (requested frequency,
-    /// granted power) and every ceiling alongside the chosen bin and the
-    /// constraint that bound it.
-    pub fn decide_traced(
-        &self,
-        requested: Frequency,
-        granted_power_w: f64,
-        now: SimTime,
-        trace: &TraceHandle,
-    ) -> GovernorDecision {
-        let decision = self.decide(requested, granted_power_w);
-        trace.borrow_mut().emit(
-            now,
-            "governor",
-            TraceLevel::Info,
-            "decision",
-            vec![
-                ("requested_mhz", Value::U64(requested.mhz() as u64)),
-                ("granted_power_w", Value::F64(granted_power_w)),
-                (
-                    "stability_mhz",
-                    Value::U64(decision.stability_ceiling.mhz() as u64),
-                ),
-                (
-                    "lifetime_mhz",
-                    Value::U64(decision.lifetime_ceiling.mhz() as u64),
-                ),
-                ("power_mhz", Value::U64(decision.power_ceiling.mhz() as u64)),
-                ("granted_mhz", Value::U64(decision.frequency.mhz() as u64)),
-                ("binding", Value::str(decision.binding.name())),
-            ],
-        );
-        decision
-    }
-
     /// The operating-domain map implied by this governor's ceilings.
     pub fn domains(&self) -> OperatingDomains {
         let turbo = self.sku.air_turbo().step_bins(1);
@@ -378,27 +339,6 @@ mod tests {
         assert!(d.stability_ceiling >= d.frequency);
         assert!(d.lifetime_ceiling >= d.frequency);
         assert!(d.power_ceiling >= d.frequency);
-    }
-
-    #[test]
-    fn traced_decision_records_inputs_and_binding() {
-        let g = hfe_governor();
-        let trace = ic_obs::trace::shared_recorder(16);
-        let d = g.decide_traced(
-            Frequency::from_ghz(3.3),
-            180.0,
-            SimTime::from_secs(5),
-            &trace,
-        );
-        assert_eq!(d, g.decide(Frequency::from_ghz(3.3), 180.0));
-        let rec = trace.borrow();
-        assert_eq!(rec.len(), 1);
-        let line = rec.to_jsonl();
-        assert!(line.contains("\"target\":\"governor\""), "{line}");
-        assert!(line.contains("\"kind\":\"decision\""), "{line}");
-        assert!(line.contains("\"requested_mhz\":3300"), "{line}");
-        assert!(line.contains("\"granted_power_w\":180"), "{line}");
-        assert!(line.contains("\"binding\":\"power\""), "{line}");
     }
 
     #[test]

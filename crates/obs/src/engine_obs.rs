@@ -1,94 +1,13 @@
-//! Adapters between the engine's observer hook and the metrics
-//! registry.
+//! The adapter between the engine's observer hook and the flight
+//! recorder.
 //!
-//! [`EngineMetrics`] implements [`ic_sim::observe::EngineObserver`] over
-//! a shared [`MetricsHandle`], so the driver keeps a clone of the handle
-//! and reads the numbers after (or during) the run:
-//!
-//! * `engine_events_total{kind}` — counter, one per executed event
-//! * `engine_queue_depth` — gauge, pending events after the last handler
-//! * `engine_queue_depth_max` — gauge, high-water mark
-//! * `engine_event_seconds{kind}` — histogram of wall-clock handler time
-//!
-//! Wall-clock timings are host noise and stay out of trace output; they
-//! exist so a profile of "which event kind dominates runtime" falls out
-//! of any instrumented run. The core engine never reads the host clock —
-//! this observer stamps its own [`Instant`] in `on_event_start` and
-//! measures the elapsed time when the post-event record arrives.
+//! [`EngineSpans`] implements [`ic_sim::observe::EngineObserver`] over a
+//! shared [`FlightHandle`], turning executed events into per-kind phase
+//! spans on the simulation clock. It never reads the host clock; the
+//! wall-clock cost of a run is measured from outside the engine.
 
 use crate::flight::FlightHandle;
-use crate::metrics::MetricsHandle;
 use ic_sim::observe::{EngineObserver, EventRecord};
-use std::time::Instant;
-
-/// First bin edge for handler-time histograms: 100 ns.
-const EVENT_SECONDS_FIRST_EDGE: f64 = 1e-7;
-/// Geometric growth per bin.
-const EVENT_SECONDS_GROWTH: f64 = 2.0;
-/// 36 bins: 100 ns … ~6.9 s, plenty for a single event handler.
-const EVENT_SECONDS_BINS: usize = 36;
-
-/// An [`EngineObserver`] that feeds a shared [`MetricsHandle`].
-///
-/// # Example
-///
-/// ```
-/// use ic_obs::engine_obs::EngineMetrics;
-/// use ic_obs::metrics::shared_registry;
-/// use ic_sim::engine::Engine;
-/// use ic_sim::time::SimTime;
-///
-/// let metrics = shared_registry();
-/// let mut engine: Engine<u32> = Engine::new();
-/// engine.set_observer(Box::new(EngineMetrics::new(metrics.clone())));
-/// engine.schedule_labeled(SimTime::from_secs(1), "arrival", |c, _| *c += 1);
-/// let mut count = 0;
-/// engine.run(&mut count);
-/// assert_eq!(metrics.borrow().counter("engine_events_total{arrival}"), 1);
-/// ```
-pub struct EngineMetrics {
-    metrics: MetricsHandle,
-    max_depth: usize,
-    started: Option<Instant>,
-}
-
-impl EngineMetrics {
-    /// Creates an observer writing into `metrics`.
-    pub fn new(metrics: MetricsHandle) -> Self {
-        EngineMetrics {
-            metrics,
-            max_depth: 0,
-            started: None,
-        }
-    }
-}
-
-impl EngineObserver for EngineMetrics {
-    fn on_event_start(&mut self) {
-        self.started = Some(Instant::now());
-    }
-
-    fn on_event(&mut self, record: &EventRecord) {
-        let wall_seconds = self
-            .started
-            .take()
-            .map(|s| s.elapsed().as_secs_f64())
-            .unwrap_or(0.0);
-        self.max_depth = self.max_depth.max(record.queue_depth);
-        let mut m = self.metrics.borrow_mut();
-        m.counter_add(&format!("engine_events_total{{{}}}", record.kind), 1);
-        m.gauge_set("engine_queue_depth", record.queue_depth as f64);
-        m.gauge_set("engine_queue_depth_max", self.max_depth as f64);
-        let hist_name = format!("engine_event_seconds{{{}}}", record.kind);
-        m.register_histogram(
-            &hist_name,
-            EVENT_SECONDS_FIRST_EDGE,
-            EVENT_SECONDS_GROWTH,
-            EVENT_SECONDS_BINS,
-        );
-        m.histogram_record(&hist_name, wall_seconds);
-    }
-}
 
 /// An [`EngineObserver`] that feeds the flight recorder's per-event-kind
 /// phase accumulator: one [`FlightRecorder::phase_event`] call per
@@ -124,50 +43,8 @@ impl EngineObserver for EngineSpans {
 mod tests {
     use super::*;
     use crate::flight::shared_flight;
-    use crate::metrics::shared_registry;
     use ic_sim::engine::Engine;
     use ic_sim::time::{SimDuration, SimTime};
-
-    #[test]
-    fn engine_run_populates_registry() {
-        let metrics = shared_registry();
-        let mut engine: Engine<u32> = Engine::new();
-        engine.set_observer(Box::new(EngineMetrics::new(metrics.clone())));
-        engine.schedule_labeled(SimTime::from_secs(1), "arrival", |c, e| {
-            *c += 1;
-            e.schedule_in_labeled(SimDuration::from_secs(1), "departure", |c, _| *c += 1);
-        });
-        engine.schedule_labeled(SimTime::from_secs(5), "arrival", |c, _| *c += 1);
-        let mut count = 0;
-        engine.run(&mut count);
-        assert_eq!(count, 3);
-
-        let m = metrics.borrow();
-        assert_eq!(m.counter("engine_events_total{arrival}"), 2);
-        assert_eq!(m.counter("engine_events_total{departure}"), 1);
-        assert_eq!(m.gauge("engine_queue_depth"), Some(0.0));
-        assert_eq!(m.gauge("engine_queue_depth_max"), Some(2.0));
-        let h = m.histogram("engine_event_seconds{arrival}").unwrap();
-        assert_eq!(h.count(), 2);
-    }
-
-    #[test]
-    fn per_kind_totals_sum_to_events_processed() {
-        let metrics = shared_registry();
-        let mut engine: Engine<()> = Engine::new();
-        engine.set_observer(Box::new(EngineMetrics::new(metrics.clone())));
-        for i in 0..10 {
-            let kind = if i % 2 == 0 { "even" } else { "odd" };
-            engine.schedule_labeled(SimTime::from_secs(i), kind, |_, _| {});
-        }
-        engine.run(&mut ());
-        let m = metrics.borrow();
-        let total: u64 = m
-            .counters_with_prefix("engine_events_total{")
-            .map(|(_, v)| v)
-            .sum();
-        assert_eq!(total, engine.events_processed());
-    }
 
     #[test]
     fn engine_spans_accumulate_phases_by_kind() {

@@ -1,9 +1,9 @@
 //! The flight recorder: deterministic hierarchical span profiling.
 //!
-//! Where [`trace`](crate::trace) records *point* events, this module
-//! records *extents*: spans keyed by the simulation clock plus a
-//! recorder-local sequence number — never wall clock — so two same-seed
-//! runs export byte-identical traces, for any `IC_PAR_WORKERS` setting
+//! The flight recorder is the crate's one recorder. It records extents
+//! and points alike, keyed by the simulation clock plus a recorder-local
+//! sequence number — never wall clock — so two same-seed runs export
+//! byte-identical traces, for any `IC_PAR_WORKERS` setting
 //! (parallel sweeps record into per-task recorders that are
 //! [`absorb`](FlightRecorder::absorb)ed in submission order).
 //!
@@ -30,7 +30,6 @@
 //! or `chrome://tracing`), JSONL, and a human self-time summary table.
 
 use crate::json::{write_escaped, write_fields, Value};
-use crate::trace::TraceLevel;
 use ic_sim::hist::LogHistogram;
 use ic_sim::time::SimTime;
 use std::cell::RefCell;
@@ -38,6 +37,57 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::io;
 use std::rc::Rc;
+
+/// Event severity. `Debug` is for per-step records (high volume);
+/// `Info` for state transitions; `Warn` for anomalies (rejections,
+/// failovers, budget violations); `Error` for invariant breaks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum TraceLevel {
+    /// High-volume per-step records.
+    Debug,
+    /// State transitions and decisions.
+    Info,
+    /// Anomalies: rejections, failures, budget violations.
+    Warn,
+    /// Invariant violations — a run that emits one is suspect.
+    Error,
+}
+
+/// The environment variable read by [`TraceLevel::from_env`] and the
+/// flight recorder's `from_env` constructors: set to `error`, `warn`,
+/// `info`, or `debug` to choose the minimum recorded level.
+pub const LEVEL_ENV: &str = "IC_OBS_LEVEL";
+
+impl TraceLevel {
+    /// The lowercase name used in serialized output.
+    pub fn name(self) -> &'static str {
+        match self {
+            TraceLevel::Debug => "debug",
+            TraceLevel::Info => "info",
+            TraceLevel::Warn => "warn",
+            TraceLevel::Error => "error",
+        }
+    }
+
+    /// Parses a level name (case-insensitive): `error`, `warn`, `info`,
+    /// or `debug`.
+    pub fn parse(s: &str) -> Option<Self> {
+        match s.trim().to_ascii_lowercase().as_str() {
+            "debug" => Some(TraceLevel::Debug),
+            "info" => Some(TraceLevel::Info),
+            "warn" | "warning" => Some(TraceLevel::Warn),
+            "error" => Some(TraceLevel::Error),
+            _ => None,
+        }
+    }
+
+    /// The level named by the `IC_OBS_LEVEL` environment variable, or
+    /// `None` when the variable is unset or unparseable (callers keep
+    /// their default).
+    pub fn from_env() -> Option<Self> {
+        std::env::var(LEVEL_ENV).ok().and_then(|s| Self::parse(&s))
+    }
+}
 
 /// First bin edge for self-time histograms: 1 µs of simulation time.
 const SELF_TIME_FIRST_EDGE: f64 = 1e-6;
@@ -770,9 +820,8 @@ fn write_us_parts(ns: u64, out: &mut String) {
     }
 }
 
-/// A shareable recorder handle, mirroring
-/// [`TraceHandle`](crate::trace::TraceHandle): the driver keeps one
-/// clone, instrumented components keep others.
+/// A shareable recorder handle for single-threaded simulations: the
+/// driver keeps one clone, instrumented components keep others.
 pub type FlightHandle = Rc<RefCell<FlightRecorder>>;
 
 /// Creates a [`FlightHandle`] with the given ring capacity.
@@ -794,7 +843,7 @@ pub fn shared_flight_from_env(capacity: usize) -> FlightHandle {
 ///
 /// ```
 /// use ic_obs::flight::{shared_flight, SpanGuard};
-/// use ic_obs::trace::TraceLevel;
+/// use ic_obs::flight::TraceLevel;
 /// use ic_sim::time::SimTime;
 ///
 /// let flight = shared_flight(1024);
@@ -930,6 +979,19 @@ mod tests {
         rec.close(tok);
         assert_eq!(rec.len(), 1);
         assert_eq!(rec.spans().next().unwrap().seq, 0);
+    }
+
+    #[test]
+    fn level_parse_and_order() {
+        assert_eq!(TraceLevel::parse("DEBUG"), Some(TraceLevel::Debug));
+        assert_eq!(TraceLevel::parse(" info "), Some(TraceLevel::Info));
+        assert_eq!(TraceLevel::parse("warning"), Some(TraceLevel::Warn));
+        assert_eq!(TraceLevel::parse("error"), Some(TraceLevel::Error));
+        assert_eq!(TraceLevel::parse("loud"), None);
+        assert!(TraceLevel::Error > TraceLevel::Warn);
+        assert!(TraceLevel::Warn > TraceLevel::Info);
+        assert!(TraceLevel::Info > TraceLevel::Debug);
+        assert_eq!(TraceLevel::Error.name(), "error");
     }
 
     #[test]

@@ -10,61 +10,62 @@
 //!   gauges, and constant-memory log-bin histograms (reusing
 //!   [`ic_sim::hist::LogHistogram`]), with deterministic iteration order
 //!   and a JSON snapshot.
-//! * [`trace`] — a [`trace::TraceRecorder`] ring buffer of structured
-//!   [`trace::TraceEvent`]s keyed by simulation time plus a recorder
-//!   sequence number (never wall clock — two same-seed runs produce
-//!   byte-identical output), with JSONL and CSV sinks.
-//! * [`flight`] — the flight recorder: deterministic *hierarchical*
-//!   spans ([`flight::FlightRecorder`] + the [`flight::SpanGuard`] RAII
-//!   API) with per-event-kind engine phases, submission-order merging of
-//!   parallel sweep tasks, and three exporters — Chrome Trace Event JSON
-//!   (loadable in Perfetto / `chrome://tracing`), JSONL, and a human
-//!   self-time summary table backed by [`ic_sim::hist::LogHistogram`].
+//! * [`flight`] — the flight recorder, the crate's one recorder:
+//!   deterministic *hierarchical* spans ([`flight::FlightRecorder`] +
+//!   the [`flight::SpanGuard`] RAII API) and structured instants (the
+//!   governor, auto-scaler and cluster decisions), keyed by simulation
+//!   time plus a recorder sequence number (never wall clock — two
+//!   same-seed runs produce byte-identical output). It has per-event-kind
+//!   engine phases, submission-order merging of parallel sweep tasks,
+//!   and three exporters — Chrome Trace Event JSON (loadable in Perfetto
+//!   / `chrome://tracing`), JSONL, and a human self-time summary table
+//!   backed by [`ic_sim::hist::LogHistogram`].
 //! * [`sinks`] — the [`sinks::ObsSinks`] bundle: one value carrying
-//!   the optional trace/metrics/flight handles that every instrumented
-//!   component used to thread individually, with a single
-//!   [`sinks::ObsSinks::instant`] emit that mirrors flight-then-trace.
-//! * [`engine_obs`] — adapters implementing
-//!   [`ic_sim::observe::EngineObserver`] so the discrete-event engine
-//!   feeds the registry ([`engine_obs::EngineMetrics`]) or the flight
-//!   recorder ([`engine_obs::EngineSpans`]) without `ic-sim` depending
-//!   on this crate.
+//!   the optional metrics and flight handles that every instrumented
+//!   component attaches through its one `attach_sinks`/`with_sinks`
+//!   entry point, with a single [`sinks::ObsSinks::instant`] emit.
+//! * [`engine_obs`] — [`engine_obs::EngineSpans`], an adapter
+//!   implementing [`ic_sim::observe::EngineObserver`] so the
+//!   discrete-event engine feeds the flight recorder without `ic-sim`
+//!   depending on this crate.
 //!
 //! Everything is single-threaded (like the simulator) and heap-bounded;
 //! the only dependency besides `ic-sim` is the serde facade.
 //!
 //! # Environment: `IC_OBS_LEVEL`
 //!
-//! The `IC_OBS_LEVEL` environment variable ([`trace::LEVEL_ENV`]) sets
+//! The `IC_OBS_LEVEL` environment variable ([`flight::LEVEL_ENV`]) sets
 //! the minimum recorded severity — `error`, `warn`, `info`, or `debug`
-//! (case-insensitive) — for every recorder built through a `from_env`
-//! constructor: [`trace::TraceRecorder::from_env`],
-//! [`flight::FlightRecorder::from_env`], and
+//! (case-insensitive) — for the flight recorder when it is built through
+//! [`flight::FlightRecorder::from_env`] or
 //! [`flight::shared_flight_from_env`]. Unset or unparseable values keep
-//! each recorder's default (`debug`: record everything). Hot loops can
-//! therefore emit debug-level events unconditionally; a production run
-//! sets `IC_OBS_LEVEL=info` and pays neither memory nor serialization
-//! cost for them — suppressed events consume no sequence numbers, so a
+//! the default (`debug`: record everything). Hot loops can therefore
+//! emit debug-level events unconditionally; a production run sets
+//! `IC_OBS_LEVEL=info` and pays neither memory nor serialization cost
+//! for them — suppressed events consume no sequence numbers, so a
 //! filtered run is still byte-deterministic.
 //!
 //! # Example
 //!
 //! ```
-//! use ic_obs::trace::{TraceLevel, TraceRecorder};
+//! use ic_obs::flight::{shared_flight, TraceLevel};
 //! use ic_obs::json::Value;
+//! use ic_obs::ObsSinks;
 //! use ic_sim::time::SimTime;
 //!
-//! let mut rec = TraceRecorder::new(1024);
-//! rec.emit(
+//! let flight = shared_flight(1024);
+//! let sinks = ObsSinks::none().with_flight(flight.clone());
+//! sinks.instant(
 //!     SimTime::from_secs(3),
 //!     "asc",
 //!     TraceLevel::Info,
 //!     "scale_out",
 //!     vec![("active_vms", Value::U64(2)), ("util", Value::F64(0.61))],
 //! );
+//! let rec = flight.borrow();
+//! assert_eq!(rec.counts_by_kind()[&("asc", "scale_out")], 1);
 //! let jsonl = rec.to_jsonl();
-//! assert!(jsonl.contains("\"kind\":\"scale_out\""));
-//! assert!(jsonl.contains("\"t_ns\":3000000000"));
+//! assert!(jsonl.contains("\"name\":\"scale_out\""));
 //! ```
 
 pub mod engine_obs;
@@ -72,14 +73,12 @@ pub mod flight;
 pub mod json;
 pub mod metrics;
 pub mod sinks;
-pub mod trace;
 
-pub use engine_obs::{EngineMetrics, EngineSpans};
+pub use engine_obs::EngineSpans;
 pub use flight::{
     shared_flight, shared_flight_from_env, FlightHandle, FlightRecorder, Span, SpanGuard, SpanKind,
-    SpanToken,
+    SpanToken, TraceLevel,
 };
 pub use json::Value;
 pub use metrics::{shared_registry, MetricsHandle, MetricsRegistry};
 pub use sinks::ObsSinks;
-pub use trace::{shared_recorder, TraceEvent, TraceHandle, TraceLevel, TraceRecorder};

@@ -100,17 +100,6 @@ impl MetricsRegistry {
         self.histograms.get(name).map_or(0.0, |h| h.quantile(q))
     }
 
-    /// Counters whose names start with `prefix`, in name order.
-    pub fn counters_with_prefix<'a>(
-        &'a self,
-        prefix: &'a str,
-    ) -> impl Iterator<Item = (&'a str, u64)> + 'a {
-        self.counters
-            .range(prefix.to_string()..)
-            .take_while(move |(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (k.as_str(), *v))
-    }
-
     /// Folds another registry into this one: counters add, gauges take
     /// the other's value (it is "newer"), histograms merge.
     ///
@@ -271,16 +260,6 @@ mod tests {
         assert_eq!(a.counter("n"), 3);
         assert_eq!(a.histogram("h").unwrap().count(), 2);
         assert_eq!(a.gauge("g"), Some(9.0));
-    }
-
-    #[test]
-    fn prefix_scan_is_ordered() {
-        let mut m = MetricsRegistry::new();
-        m.counter_add("ev_total{b}", 1);
-        m.counter_add("ev_total{a}", 2);
-        m.counter_add("other", 3);
-        let got: Vec<_> = m.counters_with_prefix("ev_total{").collect();
-        assert_eq!(got, vec![("ev_total{a}", 2), ("ev_total{b}", 1)]);
     }
 
     #[test]

@@ -1,28 +1,21 @@
 //! The observability sink bundle.
 //!
-//! Every instrumented component used to carry the same three optional
-//! handles — `Option<TraceHandle>`, `Option<MetricsHandle>`,
-//! `Option<FlightHandle>` — plus a private `emit` that mirrored each
-//! event onto the flight timeline and the trace stream. [`ObsSinks`]
-//! is that triplet as one value: build it once, clone it into every
-//! component (handles are cheap `Rc` clones), and emit through
-//! [`ObsSinks::instant`].
-//!
-//! The mirroring order is part of the contract: flight first, then
-//! trace, exactly as the per-component `emit` helpers did — so
-//! converting a component to `ObsSinks` changes no recorded byte.
+//! Every instrumented component carries the same two optional handles
+//! — a metrics registry and a flight recorder. [`ObsSinks`] is that pair
+//! as one value: build it once, clone it into every component (handles
+//! are cheap `Rc` clones), attach it through the component's one
+//! `attach_sinks`/`with_sinks` entry point, and emit through
+//! [`ObsSinks::instant`], which puts the event on the flight timeline.
 
-use crate::flight::FlightHandle;
+use crate::flight::{FlightHandle, TraceLevel};
 use crate::json::Value;
 use crate::metrics::MetricsHandle;
-use crate::trace::{TraceHandle, TraceLevel};
 use ic_sim::time::SimTime;
 
-/// A bundle of optional observability sinks: trace stream, metrics
-/// registry, flight recorder.
+/// A bundle of optional observability sinks: metrics registry and
+/// flight recorder.
 #[derive(Clone, Default)]
 pub struct ObsSinks {
-    trace: Option<TraceHandle>,
     metrics: Option<MetricsHandle>,
     flight: Option<FlightHandle>,
 }
@@ -39,16 +32,13 @@ impl PartialEq for ObsSinks {
                 _ => false,
             }
         }
-        same(&self.trace, &other.trace)
-            && same(&self.metrics, &other.metrics)
-            && same(&self.flight, &other.flight)
+        same(&self.metrics, &other.metrics) && same(&self.flight, &other.flight)
     }
 }
 
 impl std::fmt::Debug for ObsSinks {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ObsSinks")
-            .field("trace", &self.trace.is_some())
             .field("metrics", &self.metrics.is_some())
             .field("flight", &self.flight.is_some())
             .finish()
@@ -59,12 +49,6 @@ impl ObsSinks {
     /// An empty bundle: nothing attached, every emit is a no-op.
     pub fn none() -> Self {
         ObsSinks::default()
-    }
-
-    /// Adds a trace recorder (builder style).
-    pub fn with_trace(mut self, trace: TraceHandle) -> Self {
-        self.trace = Some(trace);
-        self
     }
 
     /// Adds a metrics registry (builder style).
@@ -79,26 +63,6 @@ impl ObsSinks {
         self
     }
 
-    /// Attaches (or replaces) the trace recorder.
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = Some(trace);
-    }
-
-    /// Attaches (or replaces) the metrics registry.
-    pub fn set_metrics(&mut self, metrics: MetricsHandle) {
-        self.metrics = Some(metrics);
-    }
-
-    /// Attaches (or replaces) the flight recorder.
-    pub fn set_flight(&mut self, flight: FlightHandle) {
-        self.flight = Some(flight);
-    }
-
-    /// The trace recorder, if attached.
-    pub fn trace(&self) -> Option<&TraceHandle> {
-        self.trace.as_ref()
-    }
-
     /// The metrics registry, if attached.
     pub fn metrics(&self) -> Option<&MetricsHandle> {
         self.metrics.as_ref()
@@ -111,14 +75,12 @@ impl ObsSinks {
 
     /// `true` when no sink is attached (emits cost nothing).
     pub fn is_quiet(&self) -> bool {
-        self.trace.is_none() && self.metrics.is_none() && self.flight.is_none()
+        self.metrics.is_none() && self.flight.is_none()
     }
 
-    /// Emits one structured event at simulation time `at`: mirrored as
-    /// an instant on the flight timeline (if attached), then onto the
-    /// trace stream (if attached) — the order every component's private
-    /// `emit` used, preserved so migrated call sites stay
-    /// byte-identical.
+    /// Emits one structured event at simulation time `at` as an instant
+    /// on the flight timeline (a no-op when no flight recorder is
+    /// attached).
     pub fn instant(
         &self,
         at: SimTime,
@@ -130,10 +92,7 @@ impl ObsSinks {
         if let Some(flight) = &self.flight {
             flight
                 .borrow_mut()
-                .instant_at(at, target, kind, level, fields.clone());
-        }
-        if let Some(trace) = &self.trace {
-            trace.borrow_mut().emit(at, target, level, kind, fields);
+                .instant_at(at, target, kind, level, fields);
         }
     }
 }
@@ -143,7 +102,6 @@ mod tests {
     use super::*;
     use crate::flight::shared_flight;
     use crate::metrics::shared_registry;
-    use crate::trace::shared_recorder;
 
     #[test]
     fn quiet_bundle_swallows_events() {
@@ -159,12 +117,9 @@ mod tests {
     }
 
     #[test]
-    fn instant_mirrors_to_flight_and_trace() {
-        let trace = shared_recorder(16);
+    fn instant_lands_on_the_flight_timeline() {
         let flight = shared_flight(16);
-        let sinks = ObsSinks::none()
-            .with_trace(trace.clone())
-            .with_flight(flight.clone());
+        let sinks = ObsSinks::none().with_flight(flight.clone());
         assert!(!sinks.is_quiet());
         sinks.instant(
             SimTime::from_secs(2),
@@ -173,18 +128,18 @@ mod tests {
             "tick",
             vec![("n", Value::U64(3))],
         );
-        assert_eq!(trace.borrow().counts_by_kind()[&("ctrl", "tick")], 1);
         assert_eq!(flight.borrow().counts_by_kind()[&("ctrl", "tick")], 1);
     }
 
     #[test]
-    fn setters_and_accessors_round_trip() {
-        let mut sinks = ObsSinks::none();
-        sinks.set_trace(shared_recorder(8));
-        sinks.set_metrics(shared_registry());
-        sinks.set_flight(shared_flight(8));
-        assert!(sinks.trace().is_some());
-        assert!(sinks.metrics().is_some());
+    fn builders_and_accessors_round_trip() {
+        let metrics = shared_registry();
+        let sinks = ObsSinks::none()
+            .with_metrics(metrics.clone())
+            .with_flight(shared_flight(8));
+        assert!(std::rc::Rc::ptr_eq(sinks.metrics().unwrap(), &metrics));
         assert!(sinks.flight().is_some());
+        assert_eq!(sinks, sinks.clone());
+        assert_ne!(sinks, ObsSinks::none().with_metrics(metrics));
     }
 }

@@ -38,6 +38,10 @@ use std::sync::OnceLock;
 /// The environment variable overriding the default worker count.
 pub const WORKERS_ENV: &str = "IC_PAR_WORKERS";
 
+/// Tasks run outside every deque lock, so a poisoned deque means a
+/// panic inside the pool's own bookkeeping.
+const POISONED: &str = "ic-par deque lock poisoned";
+
 /// A deterministic scatter-gather pool: a worker count and nothing
 /// else. Threads are scoped to each [`scatter_gather`] call, so pools
 /// are free to construct, nest, and drop.
@@ -86,9 +90,9 @@ impl ParPool {
     /// The task list is decomposed up front into one contiguous chunk
     /// per worker (fixed decomposition — no racing on a shared
     /// counter); each worker drains its own deque from the front and,
-    /// when empty, steals from the back of the busiest neighbour, so a
-    /// skewed task (one slow policy run in a sweep) does not idle the
-    /// other workers.
+    /// when empty, steals from the back of the next non-empty
+    /// neighbour, so a skewed task (one slow policy run in a sweep) does
+    /// not idle the other workers.
     ///
     /// Tasks needing randomness should derive it as
     /// `SimRng::stream(seed, index)` (see [`task_rngs`]) so the stream
@@ -132,10 +136,14 @@ impl ParPool {
                         let mut local: Vec<(usize, R)> = Vec::new();
                         loop {
                             // Own work first (front), then steal from a
-                            // victim's back.
-                            let next = deques[w].lock().unwrap().pop_front().or_else(|| {
+                            // victim's back. The own-deque guard must be
+                            // dropped before any victim is locked: two
+                            // idle workers each holding their own lock
+                            // while waiting on the other's deadlock.
+                            let own = deques[w].lock().expect(POISONED).pop_front();
+                            let next = own.or_else(|| {
                                 (1..workers).find_map(|d| {
-                                    deques[(w + d) % workers].lock().unwrap().pop_back()
+                                    deques[(w + d) % workers].lock().expect(POISONED).pop_back()
                                 })
                             });
                             match next {
@@ -187,7 +195,7 @@ impl ParPool {
     {
         self.scatter_gather(tasks, |i, task| {
             let flight = shared_flight(capacity);
-            if let Some(level) = ic_obs::trace::TraceLevel::from_env() {
+            if let Some(level) = ic_obs::flight::TraceLevel::from_env() {
                 flight.borrow_mut().set_min_level(level);
             }
             let result = run(i, task, &flight);
@@ -272,6 +280,41 @@ mod tests {
     }
 
     #[test]
+    fn workers_running_dry_together_do_not_deadlock() {
+        // With two workers and two tasks, both workers often run dry at
+        // the same moment and each tries to steal from the other. A
+        // worker that still held its own deque's lock while locking the
+        // victim's would wait on its peer forever (lock-order
+        // inversion). A no-progress watchdog turns that hang into a
+        // test failure.
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+
+        const CALLS: usize = 50_000;
+        const REPORT_EVERY: usize = 1_000;
+        let (tx, rx) = channel();
+        let stress = std::thread::spawn(move || {
+            let pool = ParPool::with_workers(2);
+            for call in 1..=CALLS {
+                assert_eq!(pool.scatter_gather(vec![1u8, 2], |_, x| x), [1, 2]);
+                if call % REPORT_EVERY == 0 {
+                    tx.send(call).expect("watchdog is listening");
+                }
+            }
+        });
+        let mut done = 0;
+        while done < CALLS {
+            match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+                Ok(call) => done = call,
+                Err(RecvTimeoutError::Timeout) => {
+                    panic!("scatter_gather stalled after {done} calls")
+                }
+                Err(RecvTimeoutError::Disconnected) => break,
+            }
+        }
+        stress.join().expect("stress thread panicked");
+    }
+
+    #[test]
     fn worker_count_is_clamped_to_one() {
         assert_eq!(ParPool::with_workers(0).workers(), 1);
         let out = ParPool::with_workers(0).scatter_gather(vec![1, 2, 3], |_, x| x * 2);
@@ -281,7 +324,7 @@ mod tests {
     #[test]
     fn traced_scatter_gather_is_worker_count_invariant() {
         use ic_obs::flight::FlightRecorder;
-        use ic_obs::trace::TraceLevel;
+        use ic_obs::flight::TraceLevel;
         use ic_sim::time::SimTime;
 
         let run = |i: usize, x: u64, flight: &ic_obs::flight::FlightHandle| {

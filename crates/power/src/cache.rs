@@ -28,10 +28,9 @@ use std::collections::HashMap;
 use crate::batch::BatchPoint;
 use crate::cpu::{CpuSku, SteadyState};
 use crate::units::{Frequency, Voltage, BIN_MHZ};
-use ic_obs::flight::FlightHandle;
+use ic_obs::flight::{FlightHandle, TraceLevel};
 use ic_obs::json::Value;
 use ic_obs::metrics::MetricsRegistry;
-use ic_obs::trace::TraceLevel;
 use ic_thermal::junction::ThermalInterface;
 
 /// The memo key: every input the fixed point depends on, quantized to

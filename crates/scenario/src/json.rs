@@ -332,7 +332,8 @@ pub fn write_f64(out: &mut String, value: f64) {
     }
 }
 
-/// Writes a string with RFC 8259 escaping.
+/// Writes a string with RFC 8259 escaping; C0 controls and DEL become
+/// `\uXXXX` escapes, byte for byte as `ic_obs::json` writes them.
 pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {
@@ -342,7 +343,7 @@ pub fn write_escaped(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
+            c if (c as u32) < 0x20 || c == '\u{7f}' => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),

@@ -186,7 +186,7 @@ impl<S: 'static> Engine<S> {
             debug_assert!(ev.at >= self.now, "event queue went backwards");
             self.now = ev.at;
             let kind = ev.kind;
-            let observed = self.notify_event_start();
+            let observed = self.observer.is_some();
             ev.cell.invoke(state, self);
             self.processed += 1;
             executed += 1;
@@ -205,24 +205,11 @@ impl<S: 'static> Engine<S> {
         debug_assert!(ev.at >= self.now, "event queue went backwards");
         self.now = ev.at;
         let kind = ev.kind;
-        let observed = self.notify_event_start();
+        let observed = self.observer.is_some();
         ev.cell.invoke(state, self);
         self.processed += 1;
         self.notify_observer(kind, observed);
         Some(self.now)
-    }
-
-    /// Announces an imminent handler to the observer, if attached.
-    /// Returns whether one was — the post-event record is only delivered
-    /// when the observer saw the start too.
-    fn notify_event_start(&mut self) -> bool {
-        match self.observer.as_mut() {
-            Some(observer) => {
-                observer.on_event_start();
-                true
-            }
-            None => false,
-        }
     }
 
     /// Delivers one post-event record to the observer, if attached.

@@ -1,5 +1,5 @@
 //! Observability end-to-end: runs the Table XI auto-scaler scenario
-//! with structured tracing and metrics attached, then prints the
+//! with the flight recorder and metrics attached, then prints the
 //! per-policy summary *from the recorded metrics alone* — the
 //! `RunResult` is thrown away to prove the registry captures enough.
 //!
@@ -9,7 +9,7 @@
 
 use immersion_cloud::autoscale::policy::Policy;
 use immersion_cloud::autoscale::runner::{ramp_schedule, Runner, RunnerConfig};
-use immersion_cloud::obs::{shared_recorder, shared_registry};
+use immersion_cloud::obs::{shared_flight, shared_registry, ObsSinks};
 
 fn main() {
     println!("== traced auto-scaling (Table XI scenario) ==\n");
@@ -25,13 +25,16 @@ fn main() {
     let mut sample_lines: Vec<String> = Vec::new();
     let mut kind_counts: Vec<(String, u64)> = Vec::new();
     for policy in [Policy::Baseline, Policy::OcE, Policy::OcA] {
-        let trace = shared_recorder(1 << 18);
+        let flight = shared_flight(1 << 18);
         let metrics = shared_registry();
         // Deliberately discard the RunResult: everything printed below
         // comes from the observability layer.
         let _ = Runner::new(config.clone(), policy, 42)
-            .with_trace(trace.clone())
-            .with_metrics(metrics.clone())
+            .with_sinks(
+                ObsSinks::none()
+                    .with_flight(flight.clone())
+                    .with_metrics(metrics.clone()),
+            )
             .run();
 
         let reg = metrics.borrow();
@@ -47,7 +50,7 @@ fn main() {
         );
 
         if matches!(policy, Policy::OcA) {
-            let rec = trace.borrow();
+            let rec = flight.borrow();
             for ((target, kind), n) in rec.counts_by_kind() {
                 kind_counts.push((format!("{target}/{kind}"), n));
             }
@@ -55,7 +58,7 @@ fn main() {
                 .to_jsonl()
                 .lines()
                 .filter(|l| {
-                    l.contains("\"kind\":\"freq_change\"") || l.contains("\"kind\":\"scale_out\"")
+                    l.contains("\"name\":\"freq_change\"") || l.contains("\"name\":\"scale_out\"")
                 })
                 .take(4)
                 .map(str::to_string)
@@ -63,12 +66,12 @@ fn main() {
         }
     }
 
-    println!("\nOC-A trace events by kind:");
+    println!("\nOC-A flight records by kind:");
     for (kind, n) in &kind_counts {
         println!("  {kind:24} {n:>7}");
     }
 
-    println!("\nSample OC-A trace records (JSONL):");
+    println!("\nSample OC-A decision instants (flight JSONL):");
     for line in &sample_lines {
         println!("  {line}");
     }

@@ -1,12 +1,30 @@
 //! Cross-crate JSON contract: every string `ic-obs`'s hand-rolled
 //! writer emits must round-trip through `ic-scenario`'s hand-rolled
-//! parser. The two codecs are written independently (the writer is
+//! parser, and the two crates' string writers must emit the same bytes.
+//! The two codecs are written independently (the writer is
 //! allocation-averse, the parser is diagnostic-happy), so this is the
 //! place where their corner cases — C0 controls, DEL, astral-plane
 //! unicode — are forced to agree.
 
 use immersion_cloud::obs::json::{write_escaped, write_fields, Value};
 use immersion_cloud::scenario::json::{self, Json};
+
+/// BMP and astral-plane strings, with a few escapes mixed in.
+const UNICODE_SAMPLES: [&str; 6] = [
+    "🦀 ferris",
+    "math \u{1d4b3} italic",
+    "max \u{10FFFF} scalar",
+    "中文字段",
+    "c1 range \u{80}\u{9f} stays raw",
+    "mixed \t tab \u{7f} del 🦀 crab \"quoted\" back\\slash",
+];
+
+/// `a<ch>b` for every C0 control and DEL.
+fn control_samples() -> impl Iterator<Item = String> {
+    (0u32..0x20)
+        .chain([0x7f])
+        .map(|code| format!("a{}b", char::from_u32(code).expect("valid control char")))
+}
 
 fn roundtrip(s: &str) -> String {
     let mut encoded = String::new();
@@ -19,24 +37,26 @@ fn roundtrip(s: &str) -> String {
 
 #[test]
 fn every_c0_control_and_del_round_trips() {
-    for code in (0u32..0x20).chain([0x7f]) {
-        let ch = char::from_u32(code).expect("valid control char");
-        let s = format!("a{ch}b");
-        assert_eq!(roundtrip(&s), s, "U+{code:04X} failed to round-trip");
+    for s in control_samples() {
+        assert_eq!(roundtrip(&s), s, "{s:?} failed to round-trip");
     }
 }
 
 #[test]
 fn bmp_and_astral_plane_unicode_round_trips() {
-    for s in [
-        "🦀 ferris",
-        "math \u{1d4b3} italic",
-        "max \u{10FFFF} scalar",
-        "中文字段",
-        "c1 range \u{80}\u{9f} stays raw",
-        "mixed \t tab \u{7f} del 🦀 crab \"quoted\" back\\slash",
-    ] {
+    for s in UNICODE_SAMPLES {
         assert_eq!(roundtrip(s), s);
+    }
+}
+
+#[test]
+fn both_writers_emit_identical_bytes() {
+    for s in control_samples().chain(UNICODE_SAMPLES.map(String::from)) {
+        let mut obs = String::new();
+        write_escaped(&s, &mut obs);
+        let mut scenario = String::new();
+        json::write_escaped(&mut scenario, &s);
+        assert_eq!(obs, scenario, "writers disagree on {s:?}");
     }
 }
 

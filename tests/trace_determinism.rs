@@ -1,16 +1,15 @@
 //! Trace determinism: two same-seed runs must emit byte-identical
 //! structured output.
 //!
-//! Trace events are keyed by simulation time plus a recorder-assigned
-//! sequence number — never wall-clock — so the JSONL and CSV encodings
-//! of a seeded run are reproducible down to the byte. Wall-clock only
-//! ever appears in metric histograms (`ic-obs`'s `EngineMetrics` times
-//! handlers itself via `EngineObserver::on_event_start`), which these
-//! tests deliberately avoid asserting on.
+//! Flight records — spans, engine phases and the auto-scaler's decision
+//! instants — are keyed by simulation time plus a recorder-assigned
+//! sequence number, never wall clock, so the JSONL and Chrome-trace
+//! exports of a seeded run are reproducible down to the byte, and so is
+//! the metrics snapshot.
 
 use immersion_cloud::autoscale::policy::Policy;
 use immersion_cloud::autoscale::runner::{ramp_schedule, Runner, RunnerConfig};
-use immersion_cloud::obs::{shared_flight, shared_recorder, shared_registry, TraceHandle};
+use immersion_cloud::obs::{shared_flight, shared_registry, FlightHandle, ObsSinks};
 
 fn short_config() -> RunnerConfig {
     let mut config = RunnerConfig::paper();
@@ -20,15 +19,32 @@ fn short_config() -> RunnerConfig {
     config
 }
 
-fn traced_run(policy: Policy, seed: u64) -> (TraceHandle, String) {
-    let trace = shared_recorder(1 << 16);
+/// One traced run: the flight recorder and the metrics snapshot.
+fn traced_run(policy: Policy, seed: u64) -> (FlightHandle, String) {
+    let flight = shared_flight(1 << 16);
     let metrics = shared_registry();
     Runner::new(short_config(), policy, seed)
-        .with_trace(trace.clone())
-        .with_metrics(metrics.clone())
+        .with_sinks(
+            ObsSinks::none()
+                .with_flight(flight.clone())
+                .with_metrics(metrics.clone()),
+        )
         .run();
+    {
+        let recorder = flight.borrow();
+        assert!(!recorder.is_empty(), "run must record spans");
+        assert_eq!(
+            recorder.dropped(),
+            0,
+            "ring must not overflow in a short run"
+        );
+    }
     let metrics_json = metrics.borrow().to_json();
-    (trace, metrics_json)
+    (flight, metrics_json)
+}
+
+fn flight_chrome_export(policy: Policy, seed: u64) -> String {
+    traced_run(policy, seed).0.borrow().to_chrome_trace()
 }
 
 #[test]
@@ -37,9 +53,12 @@ fn same_seed_runs_emit_identical_jsonl() {
     let (b, _) = traced_run(Policy::OcA, 42);
     let a = a.borrow();
     let b = b.borrow();
-    assert!(!a.is_empty(), "run must trace something");
-    assert_eq!(a.to_jsonl(), b.to_jsonl(), "JSONL streams diverged");
-    assert_eq!(a.to_csv(), b.to_csv(), "CSV streams diverged");
+    let jsonl = a.to_jsonl();
+    assert_eq!(jsonl, b.to_jsonl(), "JSONL streams diverged");
+    // The stream carries the auto-scaler's decisions, not just spans.
+    assert!(jsonl.contains("\"name\":\"scale_out\""), "no scale_out");
+    assert!(jsonl.contains("\"name\":\"freq_change\""), "no freq_change");
+    assert_eq!(a.summary(), b.summary(), "summaries diverged");
 }
 
 #[test]
@@ -57,21 +76,6 @@ fn different_seeds_diverge() {
     let (a, _) = traced_run(Policy::OcA, 1);
     let (b, _) = traced_run(Policy::OcA, 2);
     assert_ne!(a.borrow().to_jsonl(), b.borrow().to_jsonl());
-}
-
-fn flight_chrome_export(policy: Policy, seed: u64) -> String {
-    let flight = shared_flight(1 << 16);
-    Runner::new(short_config(), policy, seed)
-        .with_flight(flight.clone())
-        .run();
-    let recorder = flight.borrow();
-    assert!(!recorder.is_empty(), "run must record spans");
-    assert_eq!(
-        recorder.dropped(),
-        0,
-        "ring must not overflow in a short run"
-    );
-    recorder.to_chrome_trace()
 }
 
 #[test]
@@ -96,8 +100,11 @@ fn different_seed_flight_traces_diverge() {
 
 #[test]
 fn traces_never_contain_wall_clock_fields() {
-    let (trace, _) = traced_run(Policy::OcA, 42);
-    for line in trace.borrow().to_jsonl().lines() {
+    let (flight, _) = traced_run(Policy::OcA, 42);
+    let recorder = flight.borrow();
+    let jsonl = recorder.to_jsonl();
+    let chrome = recorder.to_chrome_trace();
+    for line in jsonl.lines().chain(chrome.lines()) {
         assert!(
             !line.contains("wall"),
             "wall-clock leaked into trace: {line}"
