@@ -25,7 +25,7 @@
 //!   into a fresh epoch whose bucket count and width adapt to the pending
 //!   population (classic calendar-queue resizing), or — for small
 //!   residues — sorted straight into `current`, which keeps tiny queues
-//!   (heartbeats, drained M/G/k runs) on a plain sorted-array fast path.
+//!   (heartbeats, control-plane ticks) on a plain sorted-array fast path.
 
 use crate::event::EventCell;
 use crate::time::SimTime;

@@ -5,12 +5,18 @@
 //! type `S`. Handlers are `FnOnce(&mut S, &mut Engine<S>)` closures stored
 //! *inline* in the queue node when their captures fit in
 //! [`crate::event::INLINE_EVENT_WORDS`] machine words — the common path
-//! (reschedule ticks, arrivals, control steps) touches the heap zero
-//! times per event; larger captures fall back to a recycled heap cell.
-//! Ties at the same instant are broken by insertion order, which keeps
-//! runs deterministic — a requirement for the paper's policy comparisons,
-//! where the baseline and the overclocking auto-scalers must see
-//! identical arrival sequences.
+//! (control-plane ticks, fault windows, VM-lifecycle arrivals and
+//! departures) touches the heap zero times per event; larger captures
+//! fall back to a recycled heap cell. Ties at the same instant are
+//! broken by insertion order, which keeps runs deterministic.
+//!
+//! The M/G/k client-server queue (`ic_workloads::mgk`), the workload's
+//! hot path, does not run here: it schedules only two event shapes, so
+//! it keeps them in its own typed `(at, seq)` queue and pays none of the
+//! generic queue's per-event costs (a 64-byte entry with a label and a
+//! handler cell, an indirect call, the sorted staging lane). That queue
+//! orders events exactly as this engine would, so both give the paper's
+//! policy comparisons the identical arrival sequences they need.
 
 use crate::calendar::{CalendarQueue, Entry};
 use crate::event::{BoxPool, EventCell};

@@ -4,10 +4,10 @@
 //! heap allocation and a pointer chase on the critical path of every
 //! scheduled event. The overwhelming majority of handlers in this
 //! workspace capture at most three machine words — reschedule ticks
-//! (zero-capture `fn` items), M/G/k arrivals, completion-slot indices,
-//! control-step markers — so [`EventCell`] stores such closures *inline*
-//! in the queue node and only falls back to a heap cell for large
-//! captures. The boxed fallback recycles its allocations through
+//! (zero-capture `fn` items), control-step markers, VM-lifecycle
+//! arrivals and departures — so [`EventCell`] stores such closures
+//! *inline* in the queue node and only falls back to a heap cell for
+//! large captures. The boxed fallback recycles its allocations through
 //! [`BoxPool`], so even large-capture workloads stop hitting the global
 //! allocator once the pool is warm.
 //!
