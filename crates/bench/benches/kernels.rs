@@ -1,5 +1,5 @@
 //! Microbenchmarks for the hot paths of the workspace: the
-//! discrete-event engine, the M/G/k simulation, the auto-scaler control
+//! discrete-event queue, the M/G/k simulation, the auto-scaler control
 //! step, VM placement, and the analytic models the governor evaluates on
 //! every decision.
 //!
@@ -14,16 +14,16 @@
 //! `cargo bench -p ic-bench --bench kernels -- --json [--quick]` prints a
 //! single machine-readable JSON object to stdout — the format checked in
 //! as `BENCH_sim.json` at the repo root and compared by the CI
-//! `bench-smoke` job. It reports raw-engine and M/G/k events/sec (the
+//! `bench-smoke` job. It reports raw-queue and M/G/k events/sec (the
 //! latter under both sampler stream versions — `mgk_events_per_sec` on
 //! the frozen v1 stream, `mgk_events_per_sec_v2` on the ziggurat v2
 //! stream — plus the per-draw `normal_ns_per_sample_{v1,v2}` costs), the
 //! steady-state allocations per event (counted by this binary's global
-//! allocator — expected to be exactly 0 on the inline event path), the
-//! boxed-event count, the end-to-end wall time of the `table11`
-//! experiment from the registry (three policies through the `ic-par`
-//! scatter-gather pool), the throughput of a three-policy sweep
-//! (runs/sec), the control-plane scheduling rate of the composed
+//! allocator — expected to be exactly 0 once the queue's heap has grown
+//! to its working size), the M/G/k boxed-event count, the end-to-end
+//! wall time of the `table11` experiment from the registry (three
+//! policies through the `ic-par` scatter-gather pool), the throughput
+//! of a three-policy sweep (runs/sec), the control-plane scheduling rate of the composed
 //! experiment under both streams (controller ticks/sec,
 //! `composed_ctrl_ticks_per_sec{,_v2}`), the fleet-scale counterparts at
 //! 10 000 power domains (`fleet10k_ctrl_ticks_per_sec`, plus the
@@ -62,7 +62,7 @@ use ic_power::units::Frequency;
 use ic_reliability::lifetime::{CompositeLifetimeModel, OperatingConditions};
 use ic_reliability::stability::StabilityModel;
 use ic_scenario::Scenario;
-use ic_sim::engine::Engine;
+use ic_sim::queue::EventQueue;
 use ic_sim::rng::{SimRng, StreamVersion};
 use ic_sim::time::{SimDuration, SimTime};
 use ic_thermal::fluid::DielectricFluid;
@@ -131,45 +131,49 @@ fn report(name: &str, best: f64) {
 
 const ENGINE_EVENTS: u64 = 100_000;
 
-/// The raw-engine microbench: build a fresh engine, bulk-schedule 100k
-/// trivial events, drain. Returns best seconds per iteration.
+/// Drains every pending event of `queue`, counting each into `count`.
+fn drain_count(queue: &mut EventQueue<()>, count: &mut u64) {
+    while queue.pop_at_most(SimTime::MAX).is_some() {
+        *count += 1;
+    }
+}
+
+/// The raw-queue microbench: build a fresh [`EventQueue`], bulk-schedule
+/// 100k trivial events, drain. Returns best seconds per iteration.
 fn engine_iter_secs(batches: u32) -> f64 {
     best_of(batches, 3, || {
-        let mut engine: Engine<u64> = Engine::new();
+        let mut queue = EventQueue::new();
         for i in 0..ENGINE_EVENTS {
-            engine.schedule(SimTime::from_nanos(i * 13 % 1_000_000), |s, _| *s += 1);
+            queue.schedule(SimTime::from_nanos(i * 13 % 1_000_000), ());
         }
         let mut count = 0u64;
-        engine.run(&mut count);
+        drain_count(&mut queue, &mut count);
         count
     })
 }
 
-/// Steady-state engine throughput and allocation rate: one long-lived
-/// engine pumps repeated 100k-event waves, so every queue buffer is warm.
-/// Returns `(events_per_sec, allocations_per_event)`; the latter is
-/// expected to be exactly 0 — every closure here fits the inline event
-/// cell and the calendar queue reuses its buffers between epochs.
+/// Steady-state queue throughput and allocation rate: one long-lived
+/// [`EventQueue`] pumps repeated 100k-event waves, so its heap buffer is
+/// warm. Returns `(events_per_sec, allocations_per_event)`; the latter
+/// is expected to be exactly 0 — events are plain values and the heap
+/// keeps its capacity between waves.
 fn engine_steady_state(waves: u32) -> (f64, f64) {
-    let mut engine: Engine<u64> = Engine::new();
+    let mut queue = EventQueue::new();
     let mut count = 0u64;
-    let wave = |engine: &mut Engine<u64>, count: &mut u64| {
-        let base = engine.now() + SimDuration::from_nanos(1);
+    let wave = |queue: &mut EventQueue<()>, count: &mut u64| {
+        let base = queue.now() + SimDuration::from_nanos(1);
         for i in 0..ENGINE_EVENTS {
-            engine.schedule(
-                base + SimDuration::from_nanos(i * 13 % 1_000_000),
-                |s, _| *s += 1,
-            );
+            queue.schedule(base + SimDuration::from_nanos(i * 13 % 1_000_000), ());
         }
-        engine.run(count);
+        drain_count(queue, count);
     };
     for _ in 0..3 {
-        wave(&mut engine, &mut count);
+        wave(&mut queue, &mut count);
     }
     let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
     let start = Instant::now();
     for _ in 0..waves {
-        wave(&mut engine, &mut count);
+        wave(&mut queue, &mut count);
     }
     let elapsed = start.elapsed().as_secs_f64();
     let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;

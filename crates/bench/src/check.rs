@@ -6,7 +6,9 @@
 //! per-key tolerance rules:
 //!
 //! - invariants (`engine_steady_allocs_per_event`, `mgk_boxed_events`)
-//!   must stay exactly zero — these guard the allocation-free hot path;
+//!   must stay exactly zero — these guard the allocation-free hot path
+//!   (the `engine_*` keys measure `ic_sim::queue::EventQueue`, the
+//!   queue under the control plane and the VM lifecycle);
 //! - throughput keys may not drop below `1/TOLERANCE` of the baseline;
 //! - latency keys may not exceed `TOLERANCE` times the baseline;
 //! - `steady_cache_hit_rate` has an absolute floor (the cache is

@@ -101,7 +101,7 @@ impl Cluster {
     /// recorded as instants on the flight timeline. The cluster has no
     /// clock of its own — every mutating method takes the current
     /// simulation time, which flows from the driving event loop (the
-    /// control plane's tick time or the lifecycle engine's `now`).
+    /// control plane's tick time or the lifecycle queue's `now`).
     pub fn attach_sinks(&mut self, sinks: ObsSinks) {
         self.sinks = sinks;
     }

@@ -3,8 +3,8 @@
 //! The paper leans on the Resource Central observation that "VMs often
 //! live long lifespans" \[16\] when arguing that oversubscription
 //! overclocking may be needed for long periods. This module runs a VM
-//! arrival/departure process over a [`Cluster`] on the discrete-event
-//! engine, producing the packing-density and rejection time series the
+//! arrival/departure process over a [`Cluster`] on a discrete-event
+//! queue, producing the packing-density and rejection time series the
 //! capacity experiments consume.
 
 use crate::cluster::Cluster;
@@ -12,7 +12,7 @@ use crate::vm::{VmId, VmSpec};
 use ic_obs::flight::TraceLevel;
 use ic_obs::json::Value;
 use ic_sim::dist::{Dist, Exponential, LogNormal};
-use ic_sim::engine::Engine;
+use ic_sim::queue::EventQueue;
 use ic_sim::rng::SimRng;
 use ic_sim::series::TimeSeries;
 use ic_sim::time::{SimDuration, SimTime};
@@ -103,6 +103,17 @@ pub struct LifecycleResult {
     pub peak_density: f64,
 }
 
+/// One lifecycle event.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    /// A VM request arrives (and schedules the next arrival).
+    Arrival,
+    /// A VM's lifetime ends.
+    Depart(VmId),
+    /// The once-a-minute packing-density sample.
+    Sample,
+}
+
 struct State {
     cluster: Cluster,
     rng: SimRng,
@@ -112,7 +123,6 @@ struct State {
     accepted: u64,
     rejected: u64,
     density: TimeSeries,
-    live: Vec<VmId>,
 }
 
 /// Runs the arrival/departure process over `cluster` until `horizon`.
@@ -127,7 +137,7 @@ pub fn run_lifecycle(
     seed: u64,
 ) -> LifecycleResult {
     assert!(config.mean_interarrival_s > 0.0 && config.mean_lifetime_s > 0.0);
-    let mut engine: Engine<State> = Engine::new();
+    let mut queue = EventQueue::new();
     let mut state = State {
         cluster,
         rng: SimRng::seed_from_u64(seed),
@@ -137,12 +147,20 @@ pub fn run_lifecycle(
         accepted: 0,
         rejected: 0,
         density: TimeSeries::new("packing_density"),
-        live: Vec::new(),
     };
-    engine.schedule_labeled(SimTime::ZERO, "arrival", arrival);
+    queue.schedule(SimTime::ZERO, Event::Arrival);
     // Density sampling every minute.
-    engine.schedule_labeled(SimTime::ZERO, "density_sample", sample_density);
-    engine.run_until(&mut state, horizon);
+    queue.schedule(SimTime::ZERO, Event::Sample);
+    while let Some(event) = queue.pop_at_most(horizon) {
+        let now = queue.now();
+        match event {
+            Event::Arrival => arrival(&mut state, &mut queue),
+            Event::Depart(id) => {
+                let _ = state.cluster.delete_vm(now, id);
+            }
+            Event::Sample => sample_density(&mut state, &mut queue),
+        }
+    }
 
     let peak_density = state.density.max().unwrap_or(0.0);
     LifecycleResult {
@@ -153,41 +171,30 @@ pub fn run_lifecycle(
     }
 }
 
-fn arrival(state: &mut State, engine: &mut Engine<State>) {
+fn arrival(state: &mut State, queue: &mut EventQueue<Event>) {
     let spec = state.mix.pick(&mut state.rng);
-    match state.cluster.create_vm(engine.now(), spec) {
+    match state.cluster.create_vm(queue.now(), spec) {
         Ok(id) => {
             state.accepted += 1;
-            state.live.push(id);
             let life = state.lifetime.sample(&mut state.rng);
-            engine.schedule_in_labeled(
-                SimDuration::from_secs_f64(life.max(1.0)),
-                "departure",
-                move |state: &mut State, engine: &mut Engine<State>| {
-                    let _ = state.cluster.delete_vm(engine.now(), id);
-                    state.live.retain(|&v| v != id);
-                },
-            );
+            queue.schedule_in(SimDuration::from_secs_f64(life.max(1.0)), Event::Depart(id));
         }
         Err(_) => state.rejected += 1,
     }
     let gap = state.interarrival.sample(&mut state.rng);
-    engine.schedule_in_labeled(
-        SimDuration::from_secs_f64(gap.max(1e-3)),
-        "arrival",
-        arrival,
-    );
+    queue.schedule_in(SimDuration::from_secs_f64(gap.max(1e-3)), Event::Arrival);
 }
 
-fn sample_density(state: &mut State, engine: &mut Engine<State>) {
+fn sample_density(state: &mut State, queue: &mut EventQueue<Event>) {
+    let now = queue.now();
     let density = state.cluster.packing_density();
-    state.density.push(engine.now(), density);
+    state.density.push(now, density);
     // Oversubscription interference: with more vcores allocated than
     // healthy pcores, colocated VMs contend for cycles; the excess ratio
     // is the interference pressure the paper's Section V overclocking
     // compensates for.
     state.cluster.emit(
-        engine.now(),
+        now,
         if density > 1.0 {
             TraceLevel::Info
         } else {
@@ -205,7 +212,7 @@ fn sample_density(state: &mut State, engine: &mut Engine<State>) {
             ]
         },
     );
-    engine.schedule_in_labeled(SimDuration::from_secs(60), "density_sample", sample_density);
+    queue.schedule_in(SimDuration::from_secs(60), Event::Sample);
 }
 
 #[cfg(test)]

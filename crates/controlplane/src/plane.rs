@@ -1,22 +1,21 @@
 //! The [`ControlPlane`] scheduler: N controllers, independent cadences,
 //! one clock.
 //!
-//! Each registered controller's tick is a first-class `ic-sim` event
-//! (`kind = "control_tick"`) on the control plane's own engine, so
-//! interleaving between controllers is governed by the engine's
-//! deterministic (time, insertion-seq) order — never by iteration over
-//! a hash map or by wall clock. The managed [`World`] is advanced
-//! lazily to each tick time, which reproduces the classic
-//! "advance-then-decide" loop the bespoke harnesses used, including the
-//! trailing partial window when the horizon does not divide the
-//! cadence.
+//! Each registered controller's tick is a first-class event on the
+//! control plane's own [`EventQueue`], so interleaving between
+//! controllers is governed by the queue's deterministic (time,
+//! scheduling-seq) order — never by iteration over a hash map or by
+//! wall clock. The managed [`World`] is advanced lazily to each tick
+//! time, which reproduces the classic "advance-then-decide" loop the
+//! bespoke harnesses used, including the trailing partial window when
+//! the horizon does not divide the cadence.
 
 use crate::action::{Action, Outcome};
 use crate::controller::{Controller, TickReport, World};
 use ic_obs::flight::TraceLevel;
 use ic_obs::json::Value;
 use ic_obs::ObsSinks;
-use ic_sim::engine::Engine;
+use ic_sim::queue::EventQueue;
 use ic_sim::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
@@ -71,30 +70,42 @@ struct Deferred {
     action: Action,
 }
 
+/// One control-plane event: a controller's tick, or a fault-plan
+/// entry. Each indexes into [`CpState`].
+#[derive(Debug, Clone, Copy)]
+enum CpEvent {
+    /// Tick the controller at this index of `entries`.
+    Tick(usize),
+    /// Apply the action at this index of `faults`.
+    Fault(usize),
+}
+
 struct CpState<W> {
     world: W,
     entries: Vec<Entry>,
     deferred: VecDeque<Deferred>,
+    faults: Vec<Action>,
     sinks: ObsSinks,
     ticks_total: u64,
 }
 
 /// The control-plane runtime: registers [`Controller`]s at independent
 /// cadences and drives them against one [`World`] off one clock.
-pub struct ControlPlane<W: World + 'static> {
-    engine: Engine<CpState<W>>,
+pub struct ControlPlane<W: World> {
+    queue: EventQueue<CpEvent>,
     state: CpState<W>,
 }
 
-impl<W: World + 'static> ControlPlane<W> {
+impl<W: World> ControlPlane<W> {
     /// A runtime over `world` with no controllers yet.
     pub fn new(world: W) -> Self {
         ControlPlane {
-            engine: Engine::new(),
+            queue: EventQueue::new(),
             state: CpState {
                 world,
                 entries: Vec::new(),
                 deferred: VecDeque::new(),
+                faults: Vec::new(),
                 sinks: ObsSinks::none(),
                 ticks_total: 0,
             },
@@ -111,7 +122,12 @@ impl<W: World + 'static> ControlPlane<W> {
 
     /// Registers `controller` to tick every `cadence` (first tick one
     /// cadence after the clock when [`ControlPlane::run_until`] is next
-    /// called). Ties at the same instant fire in registration order.
+    /// called). Events at the same instant — ticks and faults alike —
+    /// fire in the order they were scheduled. A controller's next tick
+    /// is scheduled when its current one runs, so first ticks follow
+    /// registration order, controllers sharing a cadence keep it, and
+    /// otherwise the controller whose previous tick ran earlier goes
+    /// first.
     ///
     /// # Panics
     ///
@@ -125,7 +141,7 @@ impl<W: World + 'static> ControlPlane<W> {
         self.state.entries.push(Entry {
             controller,
             cadence,
-            last_tick: self.engine.now(),
+            last_tick: self.queue.now(),
             ticks: 0,
             scheduled: false,
         });
@@ -134,7 +150,7 @@ impl<W: World + 'static> ControlPlane<W> {
 
     /// The control-plane clock.
     pub fn now(&self) -> SimTime {
-        self.engine.now()
+        self.queue.now()
     }
 
     /// The managed world.
@@ -184,39 +200,26 @@ impl<W: World + 'static> ControlPlane<W> {
         self.state.ticks_total
     }
 
-    /// Control-plane engine events processed (tick events only; the
-    /// world's own engines count their events separately).
+    /// Control-plane queue events processed (controller ticks and
+    /// fault-plan entries, not the trailing ticks at a horizon; the
+    /// world's own simulations count their events separately).
     pub fn events_processed(&self) -> u64 {
-        self.engine.events_processed()
+        self.queue.events_processed()
     }
 
-    /// Schedules every entry of `plan` as a DES event (`kind =
-    /// "fault"`) that applies its action to the world at its exact
-    /// instant — after any controller tick scheduled for the same time
-    /// (faults are inserted later, and ties fire in insertion order).
-    /// No controller owns these actions, so no `applied` notification
+    /// Schedules every entry of `plan` as a queue event that applies its
+    /// action to the world at its exact instant. Same-instant events
+    /// fire in scheduling order: a fault lands after any tick already
+    /// pending for its instant and before any tick scheduled later, so
+    /// a plan scheduled before the first [`ControlPlane::run_until`]
+    /// precedes every controller tick at the same instant. No
+    /// controller owns these actions, so no `applied` notification
     /// fires; controllers see the effects through telemetry.
     pub fn schedule_faults(&mut self, plan: FaultPlan) {
         for (at, action) in plan.entries {
-            self.engine
-                .schedule_labeled(at, "fault", move |state, engine| {
-                    let now = engine.now();
-                    state.world.pre_tick(now);
-                    state.world.advance_to(now);
-                    let outcome = state.world.apply(now, "fault", &action);
-                    if !state.sinks.is_quiet() {
-                        state.sinks.instant(
-                            now,
-                            "chaos",
-                            TraceLevel::Info,
-                            "fault",
-                            vec![
-                                ("verb", Value::Str(action.verb().to_string())),
-                                ("accepted", Value::Bool(outcome.accepted())),
-                            ],
-                        );
-                    }
-                });
+            let idx = self.state.faults.len();
+            self.state.faults.push(action);
+            self.queue.schedule(at, CpEvent::Fault(idx));
         }
     }
 
@@ -228,16 +231,25 @@ impl<W: World + 'static> ControlPlane<W> {
     /// hand-written `while t < end { t = (t + period).min(end); … }`
     /// loops this runtime replaces.
     pub fn run_until(&mut self, end: SimTime) {
-        let now = self.engine.now();
-        for idx in 0..self.state.entries.len() {
-            let entry = &mut self.state.entries[idx];
+        let now = self.queue.now();
+        for (idx, entry) in self.state.entries.iter_mut().enumerate() {
             if !entry.scheduled {
                 entry.scheduled = true;
-                let cadence = entry.cadence;
-                Self::schedule_tick(&mut self.engine, now + cadence, idx);
+                self.queue.schedule(now + entry.cadence, CpEvent::Tick(idx));
             }
         }
-        self.engine.run_until(&mut self.state, end);
+        while let Some(event) = self.queue.pop_at_most(end) {
+            let now = self.queue.now();
+            match event {
+                CpEvent::Tick(idx) => {
+                    Self::run_tick(&mut self.state, now, idx);
+                    let cadence = self.state.entries[idx].cadence;
+                    self.queue.schedule(now + cadence, CpEvent::Tick(idx));
+                }
+                CpEvent::Fault(idx) => Self::run_fault(&mut self.state, now, idx),
+            }
+        }
+        self.queue.advance_to(end);
         for idx in 0..self.state.entries.len() {
             if self.state.entries[idx].last_tick < end {
                 Self::run_tick(&mut self.state, end, idx);
@@ -246,13 +258,23 @@ impl<W: World + 'static> ControlPlane<W> {
         self.state.world.advance_to(end);
     }
 
-    fn schedule_tick(engine: &mut Engine<CpState<W>>, at: SimTime, idx: usize) {
-        engine.schedule_labeled(at, "control_tick", move |state, engine| {
-            let now = engine.now();
-            Self::run_tick(state, now, idx);
-            let cadence = state.entries[idx].cadence;
-            Self::schedule_tick(engine, now + cadence, idx);
-        });
+    fn run_fault(state: &mut CpState<W>, now: SimTime, idx: usize) {
+        state.world.pre_tick(now);
+        state.world.advance_to(now);
+        let action = &state.faults[idx];
+        let outcome = state.world.apply(now, "fault", action);
+        if !state.sinks.is_quiet() {
+            state.sinks.instant(
+                now,
+                "chaos",
+                TraceLevel::Info,
+                "fault",
+                vec![
+                    ("verb", Value::Str(action.verb().to_string())),
+                    ("accepted", Value::Bool(outcome.accepted())),
+                ],
+            );
+        }
     }
 
     fn run_tick(state: &mut CpState<W>, now: SimTime, idx: usize) {
@@ -345,5 +367,117 @@ impl<W: World + 'static> ControlPlane<W> {
             let fo = state.world.apply(now, source, &fa);
             let _ = state.entries[owner].controller.applied(now, &fa, &fo);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::telemetry::TelemetrySnapshot;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    type Log = Rc<RefCell<Vec<(u64, &'static str)>>>;
+
+    /// A world that logs every applied action under its source.
+    struct LogWorld {
+        now: SimTime,
+        snapshot: TelemetrySnapshot,
+        log: Log,
+    }
+
+    impl World for LogWorld {
+        fn now(&self) -> SimTime {
+            self.now
+        }
+
+        fn advance_to(&mut self, t: SimTime) {
+            self.now = t;
+        }
+
+        fn telemetry(&mut self, now: SimTime) -> &TelemetrySnapshot {
+            self.snapshot.now = now;
+            &self.snapshot
+        }
+
+        fn apply(&mut self, now: SimTime, source: &'static str, _action: &Action) -> Outcome {
+            self.log
+                .borrow_mut()
+                .push((now.as_nanos() / 1_000_000_000, source));
+            Outcome::Applied
+        }
+
+        fn complete_scale_out(&mut self, _now: SimTime) -> Outcome {
+            Outcome::Applied
+        }
+    }
+
+    /// A controller that logs every observe call and decides nothing.
+    struct LogController {
+        name: &'static str,
+        log: Log,
+    }
+
+    impl Controller for LogController {
+        fn name(&self) -> &'static str {
+            self.name
+        }
+
+        fn observe(&mut self, snapshot: &TelemetrySnapshot) -> Vec<Action> {
+            self.log
+                .borrow_mut()
+                .push((snapshot.now.as_nanos() / 1_000_000_000, self.name));
+            Vec::new()
+        }
+
+        crate::impl_controller_downcast!();
+    }
+
+    #[test]
+    fn same_instant_events_fire_in_scheduling_order() {
+        let log = Log::default();
+        let mut plane = ControlPlane::new(LogWorld {
+            now: SimTime::ZERO,
+            snapshot: TelemetrySnapshot::default(),
+            log: Rc::clone(&log),
+        });
+        for (name, secs) in [("a2", 2), ("b3", 3)] {
+            let controller = LogController {
+                name,
+                log: Rc::clone(&log),
+            };
+            plane.register(Box::new(controller), SimDuration::from_secs(secs));
+        }
+        let freeze = |secs| {
+            (
+                SimTime::from_secs(secs),
+                Action::FreezeTelemetry {
+                    until: SimTime::from_secs(secs + 1),
+                },
+            )
+        };
+        plane.schedule_faults(FaultPlan::new(vec![freeze(2), freeze(6)]));
+        plane.run_until(SimTime::from_secs(7));
+
+        // At 2 s the fault (scheduled before the run) precedes a2's first
+        // tick; at 6 s b3's tick (scheduled at 3 s) precedes a2's
+        // (scheduled at 4 s), not registration order. The trailing ticks
+        // at the horizon run after the queue drains.
+        assert_eq!(
+            *log.borrow(),
+            vec![
+                (2, "fault"),
+                (2, "a2"),
+                (3, "b3"),
+                (4, "a2"),
+                (6, "fault"),
+                (6, "b3"),
+                (6, "a2"),
+                (7, "a2"),
+                (7, "b3"),
+            ]
+        );
+        assert_eq!(plane.events_processed(), 7);
+        assert_eq!(plane.ticks_total(), 7);
     }
 }

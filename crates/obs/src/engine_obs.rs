@@ -1,10 +1,10 @@
-//! The adapter between the engine's observer hook and the flight
+//! The adapter between the event-loop observer hook and the flight
 //! recorder.
 //!
 //! [`EngineSpans`] implements [`ic_sim::observe::EngineObserver`] over a
 //! shared [`FlightHandle`], turning executed events into per-kind phase
 //! spans on the simulation clock. It never reads the host clock; the
-//! wall-clock cost of a run is measured from outside the engine.
+//! wall-clock cost of a run is measured from outside the event loop.
 
 use crate::flight::FlightHandle;
 use ic_sim::observe::{EngineObserver, EventRecord};
@@ -43,21 +43,19 @@ impl EngineObserver for EngineSpans {
 mod tests {
     use super::*;
     use crate::flight::shared_flight;
-    use ic_sim::engine::Engine;
-    use ic_sim::time::{SimDuration, SimTime};
+    use ic_sim::time::SimTime;
 
     #[test]
     fn engine_spans_accumulate_phases_by_kind() {
         let flight = shared_flight(1024);
-        let mut engine: Engine<u32> = Engine::new();
-        engine.set_observer(Box::new(EngineSpans::new(flight.clone(), "engine")));
-        engine.schedule_labeled(SimTime::from_secs(1), "arrival", |c, e| {
-            *c += 1;
-            e.schedule_in_labeled(SimDuration::from_secs(1), "departure", |c, _| *c += 1);
-        });
-        engine.schedule_labeled(SimTime::from_secs(5), "arrival", |c, _| *c += 1);
-        let mut count = 0;
-        engine.run(&mut count);
+        let mut spans = EngineSpans::new(flight.clone(), "engine");
+        for (secs, kind) in [(1, "arrival"), (2, "departure"), (5, "arrival")] {
+            spans.on_event(&EventRecord {
+                at: SimTime::from_secs(secs),
+                kind,
+                queue_depth: 0,
+            });
+        }
         flight.borrow_mut().flush_phases();
 
         let rec = flight.borrow();

@@ -25,9 +25,9 @@
 //!   component attaches through its one `attach_sinks`/`with_sinks`
 //!   entry point, with a single [`sinks::ObsSinks::instant`] emit.
 //! * [`engine_obs`] — [`engine_obs::EngineSpans`], an adapter
-//!   implementing [`ic_sim::observe::EngineObserver`] so the
-//!   discrete-event engine feeds the flight recorder without `ic-sim`
-//!   depending on this crate.
+//!   implementing [`ic_sim::observe::EngineObserver`] so the M/G/k
+//!   event loop feeds the flight recorder without `ic-sim` or
+//!   `ic-workloads` depending on this crate.
 //!
 //! Everything is single-threaded (like the simulator) and heap-bounded;
 //! the only dependency besides `ic-sim` is the serde facade.

@@ -6,7 +6,7 @@
 //! systems — oversubscribed VM packing and an overclocking-enhanced
 //! auto-scaler — on physical 2PIC tank prototypes. This crate provides the
 //! simulation substrate that replaces that hardware: a deterministic
-//! discrete-event engine ([`engine::Engine`]), seeded random-number
+//! discrete-event queue ([`queue::EventQueue`]), seeded random-number
 //! generation ([`rng::SimRng`]), probability distributions implemented
 //! in-crate ([`dist`]), and streaming statistics ([`stats`]) used to report
 //! the P95/P99 metrics the paper's evaluation is built on.
@@ -14,31 +14,33 @@
 //! # Example
 //!
 //! ```
-//! use ic_sim::engine::Engine;
+//! use ic_sim::queue::EventQueue;
 //! use ic_sim::time::SimTime;
 //!
 //! // Count events fired up to and including t = 5 s.
-//! let mut engine: Engine<u32> = Engine::new();
+//! let mut queue = EventQueue::new();
 //! for i in 0..10 {
-//!     engine.schedule(SimTime::from_secs(i), |count, _ctx| *count += 1);
+//!     queue.schedule(SimTime::from_secs(i), ());
 //! }
 //! let mut count = 0;
-//! engine.run_until(&mut count, SimTime::from_secs(5));
+//! while queue.pop_at_most(SimTime::from_secs(5)).is_some() {
+//!     count += 1;
+//! }
 //! assert_eq!(count, 6); // t = 0..=5 inclusive
 //! ```
 
-mod calendar;
+#![forbid(unsafe_code)]
+
 pub mod dist;
-pub mod engine;
-pub mod event;
 pub mod hist;
 pub mod observe;
+pub mod queue;
 pub mod rng;
 pub mod series;
 pub mod stats;
 pub mod time;
 pub(crate) mod zig;
 
-pub use engine::Engine;
+pub use queue::EventQueue;
 pub use rng::{SimRng, StreamVersion};
 pub use time::{SimDuration, SimTime};

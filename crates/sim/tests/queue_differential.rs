@@ -1,21 +1,19 @@
-//! Differential test: the engine (inline event cells + calendar queue)
-//! against a `BinaryHeap` reference model, on randomized self-expanding
-//! event trees.
+//! Differential test: [`EventQueue`] against an independent sorted-`Vec`
+//! reference model, on randomized self-expanding event trees.
 //!
 //! Both sides execute the same deterministic program: every fired node
 //! logs `(id, time)` and derives its children — count, time deltas
 //! (including zero-delta same-instant ties), and ids — from a hash of its
-//! own id, so mid-handler scheduling exercises the queue exactly where
-//! pops and pushes interleave. Runs are chunked by random `run_until`
-//! deadlines and single `step`s. Some nodes carry an oversized capture to
-//! force the boxed event path into the mix. The logs, clocks, and pending
-//! counts must match the reference at every checkpoint.
+//! own id, so scheduling while draining exercises the queue exactly where
+//! pops and pushes interleave. Runs are chunked by random deadline
+//! drains and single pops. The reference shares no code with the heap:
+//! it inserts each event after every pending entry due at or before it,
+//! so its order is time order with ties in scheduling order by
+//! construction. The logs and clocks must match at every checkpoint.
 
-use ic_sim::engine::Engine;
+use ic_sim::queue::EventQueue;
 use ic_sim::rng::SimRng;
-use ic_sim::time::{SimDuration, SimTime};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use ic_sim::time::SimTime;
 
 /// splitmix64: the shared child-derivation hash.
 fn mix(mut x: u64) -> u64 {
@@ -24,10 +22,6 @@ fn mix(mut x: u64) -> u64 {
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
 }
-
-/// Nodes whose hash has this bit set are scheduled with a 4-word capture
-/// (the boxed fallback); the rest ride the inline path.
-const PAD_BIT: u64 = 1 << 7;
 
 fn child(id: u64, c: u64) -> u64 {
     mix(id ^ (c + 1).wrapping_mul(0x0123_4567))
@@ -41,73 +35,75 @@ fn child_delta(h: u64, c: u64) -> u64 {
     (h >> (16 + 8 * c as u32)) & 0x3FF
 }
 
-#[derive(Default)]
-struct St {
-    log: Vec<(u64, u64)>,
+/// One tree node: its id and how many generations may still follow.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    id: u64,
+    depth: u32,
 }
 
-fn schedule_node(engine: &mut Engine<St>, at: SimTime, id: u64, depth: u32) {
-    if mix(id) & PAD_BIT != 0 {
-        let pad = [id; 4];
-        engine.schedule(at, move |st, e| {
-            let _pad = pad;
-            fire(st, e, id, depth)
-        });
-    } else {
-        engine.schedule(at, move |st, e| fire(st, e, id, depth));
+/// The children `node` spawns when it fires at `now`, in scheduling
+/// order.
+fn children(node: Node, now: u64) -> impl Iterator<Item = (u64, Node)> {
+    let h = mix(node.id);
+    let count = if node.depth == 0 { 0 } else { child_count(h) };
+    (0..count).map(move |c| {
+        let at = now + child_delta(h, c);
+        let id = child(node.id, c);
+        (
+            at,
+            Node {
+                id,
+                depth: node.depth - 1,
+            },
+        )
+    })
+}
+
+/// Fires one node popped from the queue under test.
+fn fire(queue: &mut EventQueue<Node>, log: &mut Vec<(u64, u64)>, node: Node) {
+    let now = queue.now().as_nanos();
+    log.push((node.id, now));
+    for (at, child) in children(node, now) {
+        queue.schedule(SimTime::from_nanos(at), child);
     }
 }
 
-fn fire(st: &mut St, engine: &mut Engine<St>, id: u64, depth: u32) {
-    let now = engine.now();
-    st.log.push((id, now.as_nanos()));
-    if depth == 0 {
-        return;
+/// Drains `queue` up to `deadline` and moves its clock there.
+fn drain(queue: &mut EventQueue<Node>, log: &mut Vec<(u64, u64)>, deadline: SimTime) {
+    while let Some(node) = queue.pop_at_most(deadline) {
+        fire(queue, log, node);
     }
-    let h = mix(id);
-    for c in 0..child_count(h) {
-        let at = now + SimDuration::from_nanos(child_delta(h, c));
-        schedule_node(engine, at, child(id, c), depth - 1);
-    }
+    queue.advance_to(deadline);
 }
 
-/// The retired-heap reference: a `BinaryHeap` ordered by `(time, seq)`
-/// running the identical node program.
+/// The reference: pending `(at, node)` pairs in a `Vec` kept in firing
+/// order by stable insertion.
 #[derive(Default)]
 struct RefSim {
-    heap: BinaryHeap<Reverse<(u64, u64)>>,
-    meta: HashMap<u64, (u64, u32)>,
-    seq: u64,
+    pending: Vec<(u64, Node)>,
     now: u64,
     log: Vec<(u64, u64)>,
 }
 
 impl RefSim {
-    fn schedule(&mut self, at: u64, id: u64, depth: u32) {
-        self.heap.push(Reverse((at, self.seq)));
-        self.meta.insert(self.seq, (id, depth));
-        self.seq += 1;
+    fn schedule(&mut self, at: u64, node: Node) {
+        let pos = self.pending.partition_point(|&(t, _)| t <= at);
+        self.pending.insert(pos, (at, node));
     }
 
-    fn fire(&mut self, at: u64, seq: u64) {
-        let (id, depth) = self.meta.remove(&seq).expect("scheduled");
+    fn fire(&mut self, at: u64, node: Node) {
         self.now = at;
-        self.log.push((id, at));
-        if depth > 0 {
-            let h = mix(id);
-            for c in 0..child_count(h) {
-                self.schedule(self.now + child_delta(h, c), child(id, c), depth - 1);
-            }
+        self.log.push((node.id, at));
+        for (at, child) in children(node, at) {
+            self.schedule(at, child);
         }
     }
 
     fn run_until(&mut self, deadline: u64) {
-        while let Some(&Reverse((at, seq))) = self.heap.peek() {
-            if at > deadline {
-                break;
-            }
-            self.heap.pop();
-            self.fire(at, seq);
+        while self.pending.first().is_some_and(|&(at, _)| at <= deadline) {
+            let (at, node) = self.pending.remove(0);
+            self.fire(at, node);
         }
         if deadline != u64::MAX && deadline > self.now {
             self.now = deadline;
@@ -115,28 +111,28 @@ impl RefSim {
     }
 
     fn step(&mut self) -> Option<u64> {
-        let Reverse((at, seq)) = self.heap.pop()?;
-        self.fire(at, seq);
+        if self.pending.is_empty() {
+            return None;
+        }
+        let (at, node) = self.pending.remove(0);
+        self.fire(at, node);
         Some(at)
     }
 }
 
 #[test]
-fn engine_matches_heap_reference_on_random_event_trees() {
-    let mut boxed_total = 0u64;
+fn queue_matches_sorted_reference_on_random_event_trees() {
+    let mut ties = 0;
     for seed in 0..60u64 {
         let mut rng = SimRng::seed_from_u64(seed);
-        let mut engine: Engine<St> = Engine::new();
-        let mut st = St::default();
+        let mut queue = EventQueue::new();
+        let mut log = Vec::new();
         let mut reference = RefSim::default();
 
-        // Seed both models with identical root nodes; spreads from tens
-        // of nanoseconds to minutes exercise direct mode, spilling, and
-        // multi-epoch re-anchoring underneath the engine.
+        // Seed both models with identical root nodes; spreads run from
+        // tens of nanoseconds (dense same-instant ties) to minutes.
         let spread = 1u64 << (4 + seed % 30);
-        // Every third seed floods the queue far past the calendar's
-        // direct-mode capacity so the spill and epoch tiers run under
-        // the engine, not just in the calendar's own unit tests.
+        // Every third seed floods the queue with hundreds of roots.
         let roots = if seed.is_multiple_of(3) {
             150 + rng.next_u64() % 250
         } else {
@@ -144,19 +140,24 @@ fn engine_matches_heap_reference_on_random_event_trees() {
         };
         for r in 0..roots {
             let at = rng.next_u64() % spread;
-            let id = mix((seed << 32) | r);
-            let depth = 2 + (rng.next_u64() % 4) as u32;
-            schedule_node(&mut engine, SimTime::from_nanos(at), id, depth);
-            reference.schedule(at, id, depth);
+            let node = Node {
+                id: mix((seed << 32) | r),
+                depth: 2 + (rng.next_u64() % 4) as u32,
+            };
+            queue.schedule(SimTime::from_nanos(at), node);
+            reference.schedule(at, node);
         }
 
-        // Drive both through identical chunks of deadline runs and
-        // single steps, checking clocks and queue depths at every stop.
+        // Drive both through identical chunks of deadline drains and
+        // single pops, checking clocks and logs at every stop.
         for _ in 0..40 {
             if rng.next_u64().is_multiple_of(4) {
                 let steps = 1 + rng.next_u64() % 3;
                 for _ in 0..steps {
-                    let got = engine.step(&mut st);
+                    let got = queue.pop_at_most(SimTime::MAX).map(|node| {
+                        fire(&mut queue, &mut log, node);
+                        queue.now()
+                    });
                     let want = reference.step().map(SimTime::from_nanos);
                     assert_eq!(got, want, "seed {seed} step");
                 }
@@ -171,31 +172,28 @@ fn engine_matches_heap_reference_on_random_event_trees() {
                 } else {
                     SimTime::from_nanos(deadline)
                 };
-                engine.run_until(&mut st, sim_deadline);
+                drain(&mut queue, &mut log, sim_deadline);
                 reference.run_until(deadline);
             }
             assert_eq!(
-                engine.now(),
+                queue.now(),
                 SimTime::from_nanos(reference.now),
                 "seed {seed} clock"
             );
-            assert_eq!(
-                engine.pending(),
-                reference.heap.len(),
-                "seed {seed} pending"
-            );
+            assert_eq!(log, reference.log, "seed {seed} execution order");
         }
 
         // Drain completely and compare the full execution order.
-        engine.run(&mut st);
+        drain(&mut queue, &mut log, SimTime::MAX);
         reference.run_until(u64::MAX);
-        assert_eq!(st.log, reference.log, "seed {seed} execution order");
-        assert_eq!(engine.now(), SimTime::from_nanos(reference.now));
-        assert_eq!(engine.pending(), 0);
-        boxed_total += engine.boxed_events_scheduled();
+        assert_eq!(log, reference.log, "seed {seed} execution order");
+        assert_eq!(queue.now(), SimTime::from_nanos(reference.now));
+        assert_eq!(queue.events_processed(), log.len() as u64);
+        assert!(queue.pop_at_most(SimTime::MAX).is_none());
+        ties += log.windows(2).filter(|w| w[0].1 == w[1].1).count();
     }
     assert!(
-        boxed_total > 0,
-        "the padded nodes should have exercised the boxed event path"
+        ties > 0,
+        "the trees should have exercised same-instant ties"
     );
 }

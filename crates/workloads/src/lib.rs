@@ -11,7 +11,7 @@
 //!   published bars of Figures 9–11. These regenerate the
 //!   high-performance-VM figures.
 //! * **An executable M/G/k client–server application** ([`mgk`]) running
-//!   on the `ic-sim` discrete-event engine — Poisson arrivals, general
+//!   on its own typed discrete-event loop — Poisson arrivals, general
 //!   service times, `k` server VMs behind a load balancer. This is the
 //!   workload the paper's auto-scaler experiments (Figures 15–16, Table
 //!   XI) drive, and the auto-scaler in `ic-autoscale` controls it through

@@ -13,16 +13,16 @@
 //! paper's ASC does every 3 seconds.
 //!
 //! The queue schedules exactly two event shapes — the one pending
-//! arrival and request completions — so it keeps them in a typed queue
-//! instead of [`ic_sim::engine::Engine`]'s closure calendar: an `Option`
-//! slot for the arrival and a binary min-heap of completions carrying
-//! their in-flight slot index. Both are keyed `(at, seq)` with `seq`
-//! bumped wherever the engine would have scheduled an event, so events
-//! run in exactly the engine's order (time, ties by scheduling order).
+//! arrival and request completions — so it keeps them apart instead of
+//! in one [`ic_sim::queue::EventQueue`]: an `Option` slot for the
+//! arrival and a binary min-heap of completions carrying their
+//! in-flight slot index. Both are keyed `(at, seq)` with `seq` bumped at
+//! every schedule, so events run in exactly the order one
+//! `EventQueue` would give them (time, ties by scheduling order), and
+//! the arrival never pays a heap sift.
 
 use ic_sim::dist::{DistKind, DrawBuffer, LogNormal};
-use ic_sim::engine::UNLABELED_EVENT;
-use ic_sim::observe::{EngineObserver, EventRecord};
+use ic_sim::observe::{EngineObserver, EventRecord, UNLABELED_EVENT};
 use ic_sim::rng::{SimRng, StreamVersion};
 use ic_sim::time::{SimDuration, SimTime};
 use ic_telemetry::counters::{CoreCounters, CounterSample};

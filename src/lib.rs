@@ -7,7 +7,7 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`scenario`] | `ic-scenario` | Serializable calibration scenarios (`Scenario::paper()`, JSON codec) |
-//! | [`sim`] | `ic-sim` | Discrete-event engine, RNG, distributions, statistics |
+//! | [`sim`] | `ic-sim` | Discrete-event queue, RNG, distributions, statistics |
 //! | [`par`] | `ic-par` | Deterministic scatter-gather pool for intra-experiment sweeps |
 //! | [`thermal`] | `ic-thermal` | Cooling technologies, fluids, junction model, tanks |
 //! | [`power`] | `ic-power` | V/f curves, leakage, socket/server power, capping |

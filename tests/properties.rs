@@ -14,7 +14,7 @@ use immersion_cloud::power::cpu::CpuSku;
 use immersion_cloud::power::units::{Frequency, Voltage};
 use immersion_cloud::reliability::lifetime::{CompositeLifetimeModel, OperatingConditions};
 use immersion_cloud::sim::dist::{Dist, Exponential, LogNormal};
-use immersion_cloud::sim::engine::Engine;
+use immersion_cloud::sim::queue::EventQueue;
 use immersion_cloud::sim::rng::SimRng;
 use immersion_cloud::sim::stats::Tally;
 use immersion_cloud::sim::time::SimTime;
@@ -54,21 +54,21 @@ fn vec_of(
     (0..n).map(|_| gen(rng)).collect()
 }
 
-/// The engine executes events in non-decreasing time order no matter the
-/// scheduling order.
+/// The event queue pops events in non-decreasing time order no matter
+/// the scheduling order.
 #[test]
 fn engine_executes_in_time_order() {
     check("engine_executes_in_time_order", |rng| {
         let n = 1 + rng.index(99);
         let times: Vec<u64> = (0..n).map(|_| rng.index(10_000) as u64).collect();
-        let mut engine: Engine<Vec<u64>> = Engine::new();
+        let mut queue = EventQueue::new();
         for &t in &times {
-            engine.schedule(SimTime::from_millis(t), move |log: &mut Vec<u64>, _| {
-                log.push(t)
-            });
+            queue.schedule(SimTime::from_millis(t), t);
         }
         let mut log = Vec::new();
-        engine.run(&mut log);
+        while let Some(t) = queue.pop_at_most(SimTime::MAX) {
+            log.push(t);
+        }
         assert_eq!(log.len(), times.len());
         assert!(log.windows(2).all(|w| w[0] <= w[1]));
     });
