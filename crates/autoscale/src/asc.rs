@@ -9,12 +9,11 @@
 //! [`AutoScaler`] implements [`ic_controlplane::Controller`]: it reads
 //! the shared [`TelemetrySnapshot`] and returns typed [`Action`]s, so
 //! it runs under the [`ic_controlplane::ControlPlane`] alongside the
-//! governor, capping, and failover controllers. The [`AutoScaler::step`]
-//! entry point drives one observe/apply cycle directly against a
-//! [`ClientServerSim`] for standalone use.
+//! governor, capping, and failover controllers. The Table XI runner
+//! ([`crate::runner::Runner`]) drives it the same way, alone on a
+//! [`ic_controlplane::FleetWorld`].
 
 use crate::policy::{AscConfig, Policy, ScalingMetric};
-use ic_controlplane::fleet::{apply_to_sim, sim_complete_scale_out, sim_snapshot};
 use ic_controlplane::{Action, Controller, FreqTarget, Outcome, TelemetrySnapshot};
 use ic_obs::flight::TraceLevel;
 use ic_obs::json::Value;
@@ -23,7 +22,6 @@ use ic_sim::stats::SlidingWindow;
 use ic_sim::time::{SimDuration, SimTime};
 use ic_telemetry::counters::CounterSample;
 use ic_telemetry::eq1::{min_frequency_for_threshold, predict_utilization};
-use ic_workloads::mgk::ClientServerSim;
 use std::collections::HashMap;
 
 /// What the controller did in one decision step (for tracing and
@@ -151,41 +149,6 @@ impl AutoScaler {
     /// each control-plane tick to collect their series).
     pub fn last_step(&self) -> Option<StepTrace> {
         self.last_step
-    }
-
-    /// The scale-out action this configuration decides (the control
-    /// plane defers its maturation by the action's latency).
-    fn scale_out_action(&self) -> Action {
-        Action::ScaleOut {
-            latency: SimDuration::from_secs_f64(self.config.scale_out_latency_s),
-            interference: self.config.scale_out_interference,
-        }
-    }
-
-    /// Runs one decision step at the sim's current time, applying the
-    /// decided actions directly. The simulation must already have been
-    /// advanced to the decision instant. This is the standalone
-    /// equivalent of one [`ControlPlane`](ic_controlplane::ControlPlane)
-    /// tick.
-    pub fn step(&mut self, sim: &mut ClientServerSim) -> StepTrace {
-        let now = sim.now();
-
-        // Complete a pending scale-out whose latency has elapsed.
-        if let Some(ready) = self.pending_ready_at {
-            if now >= ready {
-                let action = self.scale_out_action();
-                let outcome = sim_complete_scale_out(sim);
-                for follow_up in self.applied(now, &action, &outcome) {
-                    apply_to_sim(sim, &follow_up);
-                }
-            }
-        }
-
-        let snapshot = sim_snapshot(sim, now);
-        for action in self.observe(&snapshot) {
-            apply_to_sim(sim, &action);
-        }
-        self.last_step.expect("observe records a step")
     }
 
     /// OC-A frequency selection: Equation 1 picks the minimum ratio
@@ -319,11 +282,16 @@ impl Controller for AutoScaler {
         };
         if self.pending_ready_at.is_none() && cooled_down {
             if out_signal > self.config.scale_out_threshold && active.len() < self.config.max_vms {
-                self.pending_ready_at =
-                    Some(now + SimDuration::from_secs_f64(self.config.scale_out_latency_s));
+                // The control plane defers the maturation by the
+                // action's latency.
+                let latency = SimDuration::from_secs_f64(self.config.scale_out_latency_s);
+                self.pending_ready_at = Some(now + latency);
                 self.scale_outs += 1;
                 scaled_out = true;
-                actions.push(self.scale_out_action());
+                actions.push(Action::ScaleOut {
+                    latency,
+                    interference: self.config.scale_out_interference,
+                });
                 self.emit(
                     now,
                     TraceLevel::Info,
@@ -496,36 +464,68 @@ impl Controller for AutoScaler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{asc_plane, RunnerConfig, Schedule};
+    use ic_controlplane::{ControlPlane, ControllerId, FleetWorld};
 
-    fn sim_with(vms: usize, qps: f64, seed: u64) -> ClientServerSim {
-        let mut sim = ClientServerSim::new(seed, 0.0028, 1.5, 4, 0.1);
-        for _ in 0..vms {
-            sim.add_vm();
-        }
-        sim.set_qps(qps);
-        sim
+    /// The auto-scaler alone on a [`FleetWorld`], wired as the runner
+    /// wires it.
+    struct Harness {
+        plane: ControlPlane<FleetWorld>,
+        id: ControllerId,
     }
 
-    fn drive(asc: &mut AutoScaler, sim: &mut ClientServerSim, seconds: u64) -> Vec<StepTrace> {
-        let mut traces = Vec::new();
-        let period = SimDuration::from_secs(3);
-        let mut t = sim.now();
-        let end = t + SimDuration::from_secs(seconds);
-        while t < end {
-            t += period;
-            sim.advance_to(t);
-            traces.push(asc.step(sim));
+    impl Harness {
+        /// `vms` serving VMs of the test workload (2.8 ms mean demand,
+        /// SCV 1.5, 4 vcores) under `schedule`.
+        fn new(
+            config: AscConfig,
+            policy: Policy,
+            vms: usize,
+            schedule: Schedule,
+            seed: u64,
+        ) -> Self {
+            let run = RunnerConfig {
+                asc: config.clone(),
+                service_scv: 1.5,
+                initial_vms: vms,
+                schedule,
+                ..RunnerConfig::paper()
+            };
+            let (plane, id) = asc_plane(&run, AutoScaler::new(config, policy), seed);
+            Harness { plane, id }
         }
-        traces
+
+        /// `vms` VMs under a constant `qps` with the paper config.
+        fn paper(policy: Policy, vms: usize, qps: f64, seed: u64) -> Self {
+            Harness::new(AscConfig::paper(), policy, vms, vec![(0.0, qps)], seed)
+        }
+
+        fn asc(&self) -> &AutoScaler {
+            self.plane
+                .controller(self.id)
+                .expect("the harness registers the auto-scaler")
+        }
+
+        /// Runs 3-second decision windows for `seconds`, returning each
+        /// window's step.
+        fn drive(&mut self, seconds: u64) -> Vec<StepTrace> {
+            let end = self.plane.now() + SimDuration::from_secs(seconds);
+            let mut traces = Vec::new();
+            while self.plane.now() < end {
+                let t = self.plane.now() + SimDuration::from_secs(3);
+                self.plane.run_until(t);
+                traces.push(self.asc().last_step().expect("tick ran"));
+            }
+            traces
+        }
     }
 
     #[test]
     fn baseline_scales_out_under_load() {
         // 1 VM at 1000 QPS → util 0.70 > 0.50 → scale out.
-        let mut sim = sim_with(1, 1000.0, 1);
-        let mut asc = AutoScaler::new(AscConfig::paper(), Policy::Baseline);
-        let traces = drive(&mut asc, &mut sim, 300);
-        assert!(asc.scale_outs() >= 1);
+        let mut h = Harness::paper(Policy::Baseline, 1, 1000.0, 1);
+        let traces = h.drive(300);
+        assert!(h.asc().scale_outs() >= 1);
         assert_eq!(traces.last().unwrap().active_vms, 2);
         // Baseline never overclocks.
         assert!(traces.iter().all(|t| t.freq_ratio == 1.0));
@@ -533,9 +533,8 @@ mod tests {
 
     #[test]
     fn scale_out_takes_60_seconds() {
-        let mut sim = sim_with(1, 1000.0, 2);
-        let mut asc = AutoScaler::new(AscConfig::paper(), Policy::Baseline);
-        let traces = drive(&mut asc, &mut sim, 300);
+        let mut h = Harness::paper(Policy::Baseline, 1, 1000.0, 2);
+        let traces = h.drive(300);
         let initiated = traces.iter().find(|t| t.scaled_out).unwrap().at;
         let completed = traces.iter().find(|t| t.active_vms == 2).unwrap().at;
         let latency = (completed - initiated).as_secs_f64();
@@ -547,26 +546,23 @@ mod tests {
 
     #[test]
     fn baseline_scales_in_when_idle() {
-        let mut sim = sim_with(3, 100.0, 3); // util ~0.023 << 0.20
-        let mut asc = AutoScaler::new(AscConfig::paper(), Policy::Baseline);
-        let traces = drive(&mut asc, &mut sim, 600);
-        assert!(asc.scale_ins() >= 2);
+        let mut h = Harness::paper(Policy::Baseline, 3, 100.0, 3); // util ~0.023 << 0.20
+        let traces = h.drive(600);
+        assert!(h.asc().scale_ins() >= 2);
         assert_eq!(traces.last().unwrap().active_vms, 1);
     }
 
     #[test]
     fn never_scales_below_min_vms() {
-        let mut sim = sim_with(1, 10.0, 4);
-        let mut asc = AutoScaler::new(AscConfig::paper(), Policy::Baseline);
-        let traces = drive(&mut asc, &mut sim, 600);
+        let mut h = Harness::paper(Policy::Baseline, 1, 10.0, 4);
+        let traces = h.drive(600);
         assert!(traces.iter().all(|t| t.active_vms >= 1));
     }
 
     #[test]
     fn oce_overclocks_only_during_scale_out() {
-        let mut sim = sim_with(1, 1000.0, 5);
-        let mut asc = AutoScaler::new(AscConfig::paper(), Policy::OcE);
-        let traces = drive(&mut asc, &mut sim, 400);
+        let mut h = Harness::paper(Policy::OcE, 1, 1000.0, 5);
+        let traces = h.drive(400);
         let max_ratio = AscConfig::paper().max_ratio();
         // While pending: max ratio; once the VM lands and load spreads:
         // back to 1.0.
@@ -581,10 +577,9 @@ mod tests {
     fn oca_holds_utilization_with_frequency_instead_of_vms() {
         // 1 VM at 800 QPS: util 0.56 at base. OC-A can push it to
         // 0.56×(0.9/1.206+0.1) ≈ 0.47 < 0.50, avoiding scale-out.
-        let mut sim = sim_with(1, 800.0, 6);
-        let mut asc = AutoScaler::new(AscConfig::paper(), Policy::OcA);
-        let traces = drive(&mut asc, &mut sim, 600);
-        assert_eq!(asc.scale_outs(), 0, "OC-A should avoid scaling out");
+        let mut h = Harness::paper(Policy::OcA, 1, 800.0, 6);
+        let traces = h.drive(600);
+        assert_eq!(h.asc().scale_outs(), 0, "OC-A should avoid scaling out");
         assert_eq!(traces.last().unwrap().active_vms, 1);
         assert!(traces.last().unwrap().freq_ratio > 1.1);
         // And the achieved utilization sits near/below the out threshold.
@@ -593,23 +588,22 @@ mod tests {
 
     #[test]
     fn oca_scales_down_when_load_fades() {
-        let mut sim = sim_with(1, 800.0, 7);
-        let mut asc = AutoScaler::new(AscConfig::paper(), Policy::OcA);
-        drive(&mut asc, &mut sim, 300);
-        assert!(asc.current_ratio() > 1.1);
-        sim.set_qps(100.0); // util collapses
-        drive(&mut asc, &mut sim, 300);
-        assert_eq!(asc.current_ratio(), 1.0);
+        // 800 QPS, then util collapses at 100 QPS from t = 300 s.
+        let schedule = vec![(0.0, 800.0), (300.0, 100.0)];
+        let mut h = Harness::new(AscConfig::paper(), Policy::OcA, 1, schedule, 7);
+        h.drive(300);
+        assert!(h.asc().current_ratio() > 1.1);
+        h.drive(300);
+        assert_eq!(h.asc().current_ratio(), 1.0);
     }
 
     #[test]
     fn oca_still_scales_out_when_frequency_is_not_enough() {
         // 1 VM at 1600 QPS: even at the top bin, util ≈ 1.12×0.83 ≈ 0.93
         // > 0.50 → the scale-out rule fires.
-        let mut sim = sim_with(1, 1600.0, 8);
-        let mut asc = AutoScaler::new(AscConfig::paper(), Policy::OcA);
-        let traces = drive(&mut asc, &mut sim, 400);
-        assert!(asc.scale_outs() >= 1);
+        let mut h = Harness::paper(Policy::OcA, 1, 1600.0, 8);
+        let traces = h.drive(400);
+        assert!(h.asc().scale_outs() >= 1);
         assert!(traces.last().unwrap().active_vms >= 2);
     }
 
@@ -618,26 +612,16 @@ mod tests {
         // Under a steadily rising load, the forecast crosses the
         // threshold before the trailing mean does.
         let run = |policy: Policy| {
-            let mut sim = ClientServerSim::new(21, 0.0028, 1.5, 4, 0.1);
-            sim.add_vm();
-            sim.set_qps(400.0);
-            let mut asc = AutoScaler::new(AscConfig::paper(), policy);
-            let mut first_out: Option<f64> = None;
-            let period = SimDuration::from_secs(3);
-            let mut t = sim.now();
-            for step_i in 0..200 {
-                // Ramp the load 10 QPS every 15 s.
-                if step_i % 5 == 0 {
-                    sim.set_qps(400.0 + step_i as f64 * 10.0);
-                }
-                t += period;
-                sim.advance_to(t);
-                let trace = asc.step(&mut sim);
-                if trace.scaled_out && first_out.is_none() {
-                    first_out = Some(trace.at.as_secs_f64());
-                }
-            }
-            first_out
+            // Ramp the load 10 QPS every 15 s.
+            let schedule = (0..200)
+                .step_by(5)
+                .map(|i| (i as f64 * 3.0, 400.0 + i as f64 * 10.0))
+                .collect();
+            let mut h = Harness::new(AscConfig::paper(), policy, 1, schedule, 21);
+            h.drive(600)
+                .iter()
+                .find(|t| t.scaled_out)
+                .map(|t| t.at.as_secs_f64())
         };
         let baseline = run(Policy::Baseline);
         let predictive = run(Policy::Predictive);
@@ -650,15 +634,14 @@ mod tests {
 
     #[test]
     fn queue_length_metric_scales_out_under_backlog() {
-        use crate::policy::ScalingMetric;
         // Saturating load builds queues; the queue metric must trigger a
         // scale-out even though we never read CPU utilization.
         let mut cfg = AscConfig::paper();
         cfg.metric = ScalingMetric::QueueLength;
-        let mut sim = sim_with(1, 1600.0, 33); // offered load > 1 VM's capacity
-        let mut asc = AutoScaler::new(cfg, Policy::Baseline);
-        let traces = drive(&mut asc, &mut sim, 400);
-        assert!(asc.scale_outs() >= 1, "queue metric should fire");
+        // Offered load > 1 VM's capacity.
+        let mut h = Harness::new(cfg, Policy::Baseline, 1, vec![(0.0, 1600.0)], 33);
+        let traces = h.drive(400);
+        assert!(h.asc().scale_outs() >= 1, "queue metric should fire");
         // Queue-length control is bang-bang: once the new VM drains the
         // backlog the signal collapses and the controller may scale back
         // in — assert the peak, not the endpoint.
@@ -668,82 +651,41 @@ mod tests {
 
     #[test]
     fn queue_length_metric_stays_quiet_when_uncongested() {
-        use crate::policy::ScalingMetric;
         let mut cfg = AscConfig::paper();
         cfg.metric = ScalingMetric::QueueLength;
         // Utilization 0.56 would trip the 0.50 utilization threshold,
         // but with 4 cores the queue stays near-empty at this load.
-        let mut sim = sim_with(1, 800.0, 34);
-        let mut asc = AutoScaler::new(cfg, Policy::Baseline);
-        drive(&mut asc, &mut sim, 400);
-        assert_eq!(asc.scale_outs(), 0, "no backlog, no scale-out");
+        let mut h = Harness::new(cfg, Policy::Baseline, 1, vec![(0.0, 800.0)], 34);
+        h.drive(400);
+        assert_eq!(h.asc().scale_outs(), 0, "no backlog, no scale-out");
     }
 
     #[test]
     fn predictive_never_overclocks() {
-        let mut sim = sim_with(1, 1000.0, 22);
-        let mut asc = AutoScaler::new(AscConfig::paper(), Policy::Predictive);
-        let traces = drive(&mut asc, &mut sim, 300);
+        let mut h = Harness::paper(Policy::Predictive, 1, 1000.0, 22);
+        let traces = h.drive(300);
         assert!(traces.iter().all(|t| t.freq_ratio == 1.0));
-        assert!(asc.scale_outs() >= 1);
+        assert!(h.asc().scale_outs() >= 1);
     }
 
     #[test]
     fn one_scale_out_at_a_time() {
-        let mut sim = sim_with(1, 4000.0, 9);
-        let mut asc = AutoScaler::new(AscConfig::paper(), Policy::Baseline);
-        let traces = drive(&mut asc, &mut sim, 63);
+        let mut h = Harness::paper(Policy::Baseline, 1, 4000.0, 9);
+        let traces = h.drive(63);
         // Only one initiation can be pending in the first minute.
         assert_eq!(traces.iter().filter(|t| t.scaled_out).count(), 1);
     }
 
     #[test]
     fn new_vms_inherit_the_current_ratio() {
-        let mut sim = sim_with(1, 1600.0, 10);
-        let mut asc = AutoScaler::new(AscConfig::paper(), Policy::OcA);
-        drive(&mut asc, &mut sim, 400);
+        let mut h = Harness::paper(Policy::OcA, 1, 1600.0, 10);
+        h.drive(400);
+        let sim = h.plane.world().sim();
         for vm in sim.active_vms() {
             assert!(
-                (sim.freq_ratio(vm) - asc.current_ratio()).abs() < 1e-9,
+                (sim.freq_ratio(vm) - h.asc().current_ratio()).abs() < 1e-9,
                 "vm {vm} ratio"
             );
         }
-    }
-
-    #[test]
-    fn step_and_observe_share_one_decision_path() {
-        // The standalone `step` entry point is a thin observe/apply
-        // cycle: driving the Controller API by hand over the same sim
-        // and seed must reproduce `drive`'s trajectory exactly.
-        let mut sim_a = sim_with(1, 1000.0, 77);
-        let mut asc_a = AutoScaler::new(AscConfig::paper(), Policy::OcA);
-        let traces_a = drive(&mut asc_a, &mut sim_a, 300);
-
-        let mut sim_b = sim_with(1, 1000.0, 77);
-        let mut asc_b = AutoScaler::new(AscConfig::paper(), Policy::OcA);
-        let mut traces_b = Vec::new();
-        let period = SimDuration::from_secs(3);
-        let mut t = sim_b.now();
-        let end = t + SimDuration::from_secs(300);
-        while t < end {
-            t += period;
-            sim_b.advance_to(t);
-            let now = sim_b.now();
-            if let Some(ready) = asc_b.pending_ready_at {
-                if now >= ready {
-                    let action = asc_b.scale_out_action();
-                    let outcome = sim_complete_scale_out(&mut sim_b);
-                    for follow_up in asc_b.applied(now, &action, &outcome) {
-                        apply_to_sim(&mut sim_b, &follow_up);
-                    }
-                }
-            }
-            let snapshot = sim_snapshot(&sim_b, now);
-            for action in asc_b.observe(&snapshot) {
-                apply_to_sim(&mut sim_b, &action);
-            }
-            traces_b.push(asc_b.last_step().unwrap());
-        }
-        assert_eq!(traces_a, traces_b);
     }
 }

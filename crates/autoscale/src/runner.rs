@@ -2,20 +2,17 @@
 //! auto-scaler through the paper's load schedules and collects the
 //! Figure 15/16 series and Table XI metrics.
 //!
-//! [`Runner`] is a thin [`ControlPlane`] composition: it builds a
-//! [`RunWorld`] (the client-server sim plus the run's accumulators),
-//! registers the [`AutoScaler`] at the decision period, and lets the
-//! runtime drive the ticks. The schedule application, window
-//! accounting, and host power model live in the world's
-//! `pre_tick`/`post_tick` hooks — the exact code the old hand-written
-//! loop ran between controller steps.
+//! [`Runner`] runs the [`AutoScaler`] alone on a [`FleetWorld`] with no
+//! power domains — the same world, schedule stepping and actuation the
+//! composed control plane uses — one decision window at a time. After
+//! each window it reads the scaler's [`StepTrace`] and folds it into
+//! the run's accumulators: the latency tally, the three series, the
+//! host power model, the VM-hour integral and the `runner`/`step`
+//! flight span.
 
-use crate::asc::AutoScaler;
+use crate::asc::{AutoScaler, StepTrace};
 use crate::policy::{AscConfig, Policy};
-use ic_controlplane::fleet::{apply_to_sim, sim_complete_scale_out, sim_snapshot_into};
-use ic_controlplane::{
-    Action, ControlPlane, Controller, Outcome, TelemetrySnapshot, TickReport, World,
-};
+use ic_controlplane::{ControlPlane, ControllerId, FleetConfigBuilder, FleetWorld};
 use ic_obs::engine_obs::EngineSpans;
 use ic_obs::flight::{FlightHandle, FlightRecorder, TraceLevel};
 use ic_obs::json::Value;
@@ -25,7 +22,6 @@ use ic_power::vf::VfCurve;
 use ic_sim::series::TimeSeries;
 use ic_sim::stats::{Tally, TimeWeighted};
 use ic_sim::time::{SimDuration, SimTime};
-use ic_workloads::mgk::ClientServerSim;
 use serde::{Deserialize, Serialize};
 
 /// A piecewise-constant client load schedule: `(start_s, qps)` steps in
@@ -168,15 +164,36 @@ pub struct RunResult {
     pub vm_count: TimeSeries,
 }
 
-/// The runner's [`World`]: the client-server sim, the load schedule,
-/// and every per-window accumulator the run reports. The control plane
-/// calls `pre_tick` (schedule application) before each tick and
-/// `post_tick` (series, power model, flight windows) after the
-/// auto-scaler's decisions have landed.
-struct RunWorld {
-    sim: ClientServerSim,
-    schedule: Schedule,
-    next_step: usize,
+/// Builds the world `config` runs on — a [`FleetWorld`] serving the
+/// config's workload and schedule, with no power domains and one
+/// server per VM the scaler may ever run, so no scale-out is refused —
+/// and a control plane ticking `asc` on it every decision period.
+pub(crate) fn asc_plane(
+    config: &RunnerConfig,
+    asc: AutoScaler,
+    seed: u64,
+) -> (ControlPlane<FleetWorld>, ControllerId) {
+    let world = FleetWorld::new(
+        FleetConfigBuilder::small(seed)
+            .service_mean_s(config.service_mean_s)
+            .service_scv(config.service_scv)
+            .vcores_per_vm(config.vcores_per_vm)
+            .stall_fraction(config.stall_fraction)
+            .initial_vms(config.initial_vms)
+            .schedule(config.schedule.clone())
+            .servers(config.asc.max_vms.max(config.initial_vms))
+            .domains(vec![])
+            .budget_w(0.0)
+            .build(),
+    );
+    let mut plane = ControlPlane::new(world);
+    let period = SimDuration::from_secs_f64(config.asc.decision_period_s);
+    let id = plane.register(Box::new(asc), period);
+    (plane, id)
+}
+
+/// Everything one run reports, fed one decision window at a time.
+struct RunAccumulators {
     vcores_per_vm: u32,
     max_ratio: f64,
     vf: VfCurve,
@@ -190,53 +207,37 @@ struct RunWorld {
     vm_integral: TimeWeighted,
     max_vms: usize,
     flight: Option<FlightHandle>,
-    snap: TelemetrySnapshot,
 }
 
-impl World for RunWorld {
-    fn now(&self) -> SimTime {
-        self.sim.now()
-    }
-
-    fn advance_to(&mut self, t: SimTime) {
-        self.sim.advance_to(t);
-    }
-
-    /// Applies any schedule steps due at or before the *previous* tick
-    /// time (the sim has not advanced yet), exactly where the old loop
-    /// applied them — so the QPS change's arrival-chain reseed draws
-    /// the RNG at the same instant it always did.
-    fn pre_tick(&mut self, _tick_at: SimTime) {
-        let t = self.sim.now();
-        while self.next_step < self.schedule.len()
-            && SimTime::from_secs_f64(self.schedule[self.next_step].0) <= t
-        {
-            self.sim.set_qps(self.schedule[self.next_step].1);
-            self.next_step += 1;
+impl RunAccumulators {
+    fn new(config: &RunnerConfig, flight: Option<FlightHandle>) -> Self {
+        RunAccumulators {
+            vcores_per_vm: config.vcores_per_vm,
+            max_ratio: config.asc.max_ratio(),
+            vf: VfCurve::xeon_w3175x(),
+            base_f: Frequency::from_ghz(3.4),
+            v0: Voltage::from_volts(0.90),
+            latencies: Tally::new(),
+            util_series: TimeSeries::new("util_pct"),
+            freq_series: TimeSeries::new("freq_pct_of_range"),
+            vm_series: TimeSeries::new("vms"),
+            power: TimeWeighted::new(SimTime::ZERO, 0.0),
+            vm_integral: TimeWeighted::new(SimTime::ZERO, config.initial_vms as f64),
+            max_vms: config.initial_vms,
+            flight,
         }
     }
 
-    fn telemetry(&mut self, now: SimTime) -> &TelemetrySnapshot {
-        sim_snapshot_into(&self.sim, now, &mut self.snap);
-        &self.snap
-    }
-
-    fn apply(&mut self, _now: SimTime, _source: &'static str, action: &Action) -> Outcome {
-        apply_to_sim(&mut self.sim, action)
-    }
-
-    fn complete_scale_out(&mut self, _now: SimTime) -> Outcome {
-        sim_complete_scale_out(&mut self.sim)
-    }
-
-    fn post_tick(&mut self, now: SimTime, controller: &dyn Controller, report: &TickReport) {
-        let asc = controller
-            .as_any()
-            .downcast_ref::<AutoScaler>()
-            .expect("the runner registers only the auto-scaler");
-        let trace = asc.last_step().expect("tick ran");
-
-        for (_, lat) in self.sim.take_completions() {
+    /// Folds the window `[start, now]`: the requests it completed and
+    /// the scaler's decision at `now`.
+    fn record(
+        &mut self,
+        start: SimTime,
+        now: SimTime,
+        trace: &StepTrace,
+        completions: Vec<(SimTime, f64)>,
+    ) {
+        for (_, lat) in completions {
             self.latencies.record(lat);
         }
         self.util_series.push(now, trace.instant_util * 100.0);
@@ -269,7 +270,7 @@ impl World for RunWorld {
             let mut f = flight.borrow_mut();
             f.flush_phases();
             f.record_complete(
-                report.window_start,
+                start,
                 now,
                 "runner",
                 "step",
@@ -321,21 +322,15 @@ impl Runner {
     /// Runs the experiment to completion.
     pub fn run(self) -> RunResult {
         let cfg = &self.config;
-        let mut sim = ClientServerSim::new(
-            self.seed,
-            cfg.service_mean_s,
-            cfg.service_scv,
-            cfg.vcores_per_vm,
-            cfg.stall_fraction,
-        );
-        for _ in 0..cfg.initial_vms {
-            sim.add_vm();
-        }
         let mut asc = AutoScaler::new(cfg.asc.clone(), self.policy);
         asc.attach_sinks(self.sinks.clone());
+        let (mut plane, id) = asc_plane(cfg, asc, self.seed);
         let flight = self.sinks.flight().cloned();
         let run_span = flight.as_ref().map(|flight| {
-            sim.set_observer(Box::new(EngineSpans::new(flight.clone(), "engine")));
+            plane
+                .world_mut()
+                .sim_mut()
+                .set_observer(Box::new(EngineSpans::new(flight.clone(), "engine")));
             flight.borrow_mut().open_at(
                 SimTime::ZERO,
                 "runner",
@@ -350,30 +345,19 @@ impl Runner {
 
         let period = SimDuration::from_secs_f64(cfg.asc.decision_period_s);
         let end = SimTime::from_secs_f64(cfg.duration_s());
-        let world = RunWorld {
-            sim,
-            schedule: cfg.schedule.clone(),
-            next_step: 0,
-            vcores_per_vm: cfg.vcores_per_vm,
-            max_ratio: cfg.asc.max_ratio(),
-            vf: VfCurve::xeon_w3175x(),
-            base_f: Frequency::from_ghz(3.4),
-            v0: Voltage::from_volts(0.90),
-            latencies: Tally::new(),
-            util_series: TimeSeries::new("util_pct"),
-            freq_series: TimeSeries::new("freq_pct_of_range"),
-            vm_series: TimeSeries::new("vms"),
-            power: TimeWeighted::new(SimTime::ZERO, 0.0),
-            vm_integral: TimeWeighted::new(SimTime::ZERO, cfg.initial_vms as f64),
-            max_vms: cfg.initial_vms,
-            flight: flight.clone(),
-            snap: TelemetrySnapshot::at(SimTime::ZERO),
-        };
-
-        let mut plane = ControlPlane::new(world);
-        plane.register(Box::new(asc), period);
-        plane.run_until(end);
-        let mut world = plane.into_world();
+        let mut acc = RunAccumulators::new(cfg, flight.clone());
+        let mut t = SimTime::ZERO;
+        while t < end {
+            let start = t;
+            t = (t + period).min(end);
+            plane.run_until(t);
+            let trace = plane
+                .controller::<AutoScaler>(id)
+                .and_then(AutoScaler::last_step)
+                .expect("every window ends on an auto-scaler tick");
+            let completions = plane.world_mut().sim_mut().take_completions();
+            acc.record(start, t, &trace, completions);
+        }
 
         if let Some(flight) = &flight {
             let mut f = flight.borrow_mut();
@@ -383,19 +367,26 @@ impl Runner {
             }
         }
 
-        let vm_hours = world.vm_integral.average(end) * end.as_secs_f64() / 3600.0;
+        let sim = plane.world().sim();
+        let vm_hours = acc.vm_integral.average(end) * end.as_secs_f64() / 3600.0;
         let result = RunResult {
             policy: self.policy.label(),
-            p95_latency_s: world.latencies.percentile(0.95),
-            avg_latency_s: world.latencies.mean(),
-            max_vms: world.max_vms,
+            // A run that completed nothing (zero load) reports 0, as
+            // the mean does.
+            p95_latency_s: if acc.latencies.is_empty() {
+                0.0
+            } else {
+                acc.latencies.percentile(0.95)
+            },
+            avg_latency_s: acc.latencies.mean(),
+            max_vms: acc.max_vms,
             vm_hours,
-            avg_power_w: world.power.average(end),
-            completed: world.sim.completed_requests(),
-            sim_events: world.sim.events_processed(),
-            utilization: world.util_series,
-            frequency_pct: world.freq_series,
-            vm_count: world.vm_series,
+            avg_power_w: acc.power.average(end),
+            completed: sim.completed_requests(),
+            sim_events: sim.events_processed(),
+            utilization: acc.util_series,
+            frequency_pct: acc.freq_series,
+            vm_count: acc.vm_series,
         };
         if let Some(metrics) = self.sinks.metrics() {
             let mut m = metrics.borrow_mut();
@@ -679,6 +670,46 @@ mod tests {
             results[0].vm_hours,
             results[1].vm_hours
         );
+    }
+
+    #[test]
+    fn zero_load_run_reports_zero_latency() {
+        // Regression: with nothing completed, the P95 query used to
+        // panic on the empty latency tally.
+        let cfg = RunnerConfig {
+            schedule: vec![(0.0, 0.0)],
+            ..RunnerConfig::paper()
+        };
+        let r = Runner::new(cfg, Policy::OcA, 1).run();
+        assert_eq!(r.completed, 0);
+        assert_eq!(r.p95_latency_s, 0.0);
+        assert_eq!(r.avg_latency_s, 0.0);
+        assert_eq!(r.utilization.len(), 100);
+    }
+
+    #[test]
+    fn cluster_accepts_every_scale_out_up_to_max_vms() {
+        // A refused maturation would be cleared silently by
+        // `AutoScaler::applied`, so the runner's cluster must hold
+        // `max_vms` — including more than one Open Compute server's 12.
+        use ic_controlplane::{Outcome, World};
+        for (initial_vms, max_vms) in [(1, 10), (1, 13), (2, 40), (1, 80), (5, 5)] {
+            let mut cfg = RunnerConfig::paper();
+            cfg.initial_vms = initial_vms;
+            cfg.asc.max_vms = max_vms;
+            let asc = AutoScaler::new(cfg.asc.clone(), Policy::Baseline);
+            let (mut plane, _) = asc_plane(&cfg, asc, 3);
+            let world = plane.world_mut();
+            for n in initial_vms..max_vms {
+                let outcome = world.complete_scale_out(SimTime::from_secs(n as u64));
+                assert!(
+                    matches!(outcome, Outcome::VmCreated { .. }),
+                    "scale-out to {} of {max_vms} refused: {outcome:?}",
+                    n + 1
+                );
+            }
+            assert_eq!(world.sim().active_ids().len(), max_vms);
+        }
     }
 
     #[test]

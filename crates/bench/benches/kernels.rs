@@ -54,7 +54,7 @@ use ic_cluster::cluster::Cluster;
 use ic_cluster::placement::{Oversubscription, PlacementPolicy};
 use ic_cluster::server::ServerSpec;
 use ic_cluster::vm::VmSpec;
-use ic_controlplane::{Action, FleetConfigBuilder, FleetWorld, Outcome, World};
+use ic_controlplane::{Action, ControlPlane, FleetConfigBuilder, FleetWorld, Outcome, World};
 use ic_core::governor::{GovernorConfig, OverclockGovernor};
 use ic_obs::json::{write_escaped, write_f64};
 use ic_power::cpu::CpuSku;
@@ -220,20 +220,31 @@ fn mgk_measure(batches: u32, sim_secs: u64, version: StreamVersion) -> (f64, u64
     (best, events, boxed)
 }
 
+/// One auto-scaler decision window on the runner's world: the ASC alone
+/// on a `FleetWorld` with no power domains, 3 VMs at 1500 QPS.
 fn bench_autoscaler_step() {
-    let mut sim = ClientServerSim::new(2, 0.0028, 2.0, 4, 0.1);
-    for _ in 0..3 {
-        sim.add_vm();
-    }
-    sim.set_qps(1500.0);
-    let mut asc = AutoScaler::new(AscConfig::paper(), Policy::OcA);
+    let asc = AscConfig::paper();
+    let world = FleetWorld::new(
+        FleetConfigBuilder::small(2)
+            .initial_vms(3)
+            .schedule(vec![(0.0, 1500.0)])
+            .servers(asc.max_vms)
+            .domains(vec![])
+            .budget_w(0.0)
+            .build(),
+    );
+    let mut plane = ControlPlane::new(world);
+    plane.register(
+        Box::new(AutoScaler::new(asc, Policy::OcA)),
+        SimDuration::from_secs(3),
+    );
     let mut t = SimTime::ZERO;
     report(
         "autoscaler_control_step",
         best_of(5, 200, || {
             t += SimDuration::from_secs(3);
-            sim.advance_to(t);
-            asc.step(&mut sim)
+            plane.run_until(t);
+            plane.ticks_total()
         }),
     );
 }

@@ -67,9 +67,7 @@ pub trait Controller {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-/// What one tick did, handed to [`World::post_tick`] so the world can
-/// record per-window accumulators (series, power integrals, flight
-/// windows) exactly where the old bespoke loops did.
+/// What one tick did, handed to [`World::post_tick`] after every tick.
 #[derive(Debug, Clone)]
 pub struct TickReport {
     /// The tick's simulation time.

@@ -1,12 +1,11 @@
-//! Worlds over [`ClientServerSim`]: shared actuation helpers plus the
-//! composed [`FleetWorld`].
+//! [`FleetWorld`]: the one [`World`] over [`ClientServerSim`].
 //!
-//! The free functions here — [`sim_snapshot`], [`apply_to_sim`],
-//! [`sim_complete_scale_out`] — are the one implementation of "how a
-//! typed [`Action`] lands on the client-server workload sim". The ASC
-//! runner's world (in `ic-autoscale`) and the composed [`FleetWorld`]
-//! both delegate to them, so scale-out interference, scale-in victim
-//! selection, and frequency propagation behave identically everywhere.
+//! Every control-plane run drives this world — the composed control
+//! plane with its power domains and faults, and the Table XI auto-scaler
+//! runner (in `ic-autoscale`) with none. So scale-out interference,
+//! scale-in victim selection, and frequency propagation are implemented
+//! once, here, and only this module knows how a typed [`Action`] lands
+//! on the serving sim.
 
 use crate::action::{Action, FreqTarget, Outcome};
 use crate::controller::World;
@@ -30,22 +29,15 @@ use ic_thermal::junction::ThermalInterface;
 use ic_workloads::mgk::ClientServerSim;
 use std::collections::BTreeMap;
 
-/// Assembles the per-VM telemetry section from `sim` at `now`: one
+/// Stamps `now` on `out` and refills its per-VM section from `sim`: one
 /// [`VmTelemetry`] per active VM, in the sim's stable activation order
-/// (the same order `AutoScaler` has always iterated).
-pub fn sim_snapshot(sim: &ClientServerSim, now: SimTime) -> TelemetrySnapshot {
-    let mut snapshot = TelemetrySnapshot::at(now);
-    sim_snapshot_into(sim, now, &mut snapshot);
-    snapshot
-}
-
-/// Buffer-reusing form of [`sim_snapshot`]: stamps `now` and refills
-/// `out.vms` in place (every VM row carries the tick's wall-clock
-/// sample, so the rows are rebuilt each tick — but into the snapshot's
-/// existing buffer, with no per-tick allocation once it has grown to
-/// the fleet's high-water mark). The power and cluster sections are
-/// left untouched; incremental worlds maintain those on actuation.
-pub fn sim_snapshot_into(sim: &ClientServerSim, now: SimTime, out: &mut TelemetrySnapshot) {
+/// (the same order `AutoScaler` has always iterated). Every VM row
+/// carries the tick's wall-clock sample, so the rows are rebuilt each
+/// tick — but into the snapshot's existing buffer, with no per-tick
+/// allocation once it has grown to the fleet's high-water mark. The
+/// power and cluster sections are left untouched; [`FleetWorld`]
+/// maintains those on actuation.
+fn sim_snapshot_into(sim: &ClientServerSim, now: SimTime, out: &mut TelemetrySnapshot) {
     out.now = now;
     out.vms.clear();
     for &vm in sim.active_ids() {
@@ -56,57 +48,6 @@ pub fn sim_snapshot_into(sim: &ClientServerSim, now: SimTime, out: &mut Telemetr
             vcores: sim.vcores(vm),
         });
     }
-}
-
-/// Applies one action to `sim`. Power and cluster verbs are not this
-/// sim's to handle and come back [`Outcome::Rejected`]; composed worlds
-/// route those to their power/cluster models before falling through
-/// here.
-pub fn apply_to_sim(sim: &mut ClientServerSim, action: &Action) -> Outcome {
-    match action {
-        Action::ScaleOut { interference, .. } => {
-            // The in-flight VM creation (image transfer, network
-            // traffic) eats into the serving VMs' capacity.
-            sim.set_share_all(1.0 - interference);
-            Outcome::Applied
-        }
-        Action::ScaleIn { vm } => {
-            if sim.remove_vm(*vm as usize) {
-                Outcome::VmRemoved { vm: *vm }
-            } else {
-                Outcome::Rejected {
-                    reason: "no such vm",
-                }
-            }
-        }
-        Action::SetFrequency { target, ratio } => {
-            match target {
-                FreqTarget::Fleet => sim.set_freq_ratio_all(*ratio),
-                FreqTarget::Vm(vm) => sim.set_freq_ratio(*vm as usize, *ratio),
-            }
-            Outcome::Applied
-        }
-        Action::SetShare { share } => {
-            sim.set_share_all(*share);
-            Outcome::Applied
-        }
-        Action::GrantPower { .. }
-        | Action::RevokePower { .. }
-        | Action::Migrate { .. }
-        | Action::FailServer { .. }
-        | Action::RepairServer { .. }
-        | Action::InjectErrorBurst { .. }
-        | Action::FreezeTelemetry { .. }
-        | Action::DropVmSensor { .. } => Outcome::Rejected {
-            reason: "not modeled by this world",
-        },
-    }
-}
-
-/// Matures a scale-out on `sim`: activate the VM and report its id.
-pub fn sim_complete_scale_out(sim: &mut ClientServerSim) -> Outcome {
-    let vm = sim.add_vm();
-    Outcome::VmCreated { vm: vm as u64 }
 }
 
 /// One power domain's static shape in a [`FleetWorld`].
@@ -180,14 +121,6 @@ pub struct FleetConfig {
     /// fault-telemetry section entirely, so fault-free worlds are
     /// byte-identical to their pre-fault-injection behavior.
     pub faults: Option<FaultConfig>,
-}
-
-impl FleetConfig {
-    /// A small composed fleet in the paper's shape.
-    #[deprecated(note = "use FleetConfigBuilder::small(seed).build()")]
-    pub fn small(seed: u64) -> Self {
-        FleetConfigBuilder::small(seed).build()
-    }
 }
 
 /// Builder for [`FleetConfig`].
@@ -603,9 +536,10 @@ impl FleetWorld {
         &self.sim
     }
 
-    /// The serving workload sim, mutably — for result extraction after
-    /// the horizon (draining completions, say). Mutating mid-run from
-    /// outside a controller forfeits determinism guarantees.
+    /// The serving workload sim, mutably — for result extraction, such
+    /// as draining completions between windows or after the horizon.
+    /// Changing its state mid-run from outside a controller forfeits
+    /// determinism guarantees.
     pub fn sim_mut(&mut self) -> &mut ClientServerSim {
         &mut self.sim
     }
@@ -701,7 +635,8 @@ impl FleetWorld {
     /// The from-scratch rebuild itself, ignoring any active freeze —
     /// also what [`Action::FreezeTelemetry`] clones as the frozen view.
     fn recompute_snapshot_live(&self, now: SimTime) -> TelemetrySnapshot {
-        let mut snapshot = sim_snapshot(&self.sim, now);
+        let mut snapshot = TelemetrySnapshot::at(now);
+        sim_snapshot_into(&self.sim, now, &mut snapshot);
         if let Some(faults) = &self.faults {
             snapshot.vms.retain(|row| {
                 !faults
@@ -855,20 +790,28 @@ impl World for FleetWorld {
 
     fn apply(&mut self, now: SimTime, _source: &'static str, action: &Action) -> Outcome {
         match action {
+            Action::ScaleOut { interference, .. } => {
+                // The in-flight VM creation (image transfer, network
+                // traffic) eats into the serving VMs' capacity.
+                self.sim.set_share_all(1.0 - interference);
+                Outcome::Applied
+            }
             Action::ScaleIn { vm } => {
-                let outcome = apply_to_sim(&mut self.sim, action);
-                if outcome.accepted() {
-                    let placement = self
-                        .vm_map
-                        .iter()
-                        .find_map(|(&cid, &v)| (v == *vm).then_some(cid));
-                    if let Some(cid) = placement {
-                        self.vm_map.remove(&cid);
-                        let _ = self.cluster.delete_vm(now, cid);
-                        self.cluster_dirty = true;
-                    }
+                if !self.sim.remove_vm(*vm as usize) {
+                    return Outcome::Rejected {
+                        reason: "no such vm",
+                    };
                 }
-                outcome
+                let placement = self
+                    .vm_map
+                    .iter()
+                    .find_map(|(&cid, &v)| (v == *vm).then_some(cid));
+                if let Some(cid) = placement {
+                    self.vm_map.remove(&cid);
+                    let _ = self.cluster.delete_vm(now, cid);
+                    self.cluster_dirty = true;
+                }
+                Outcome::VmRemoved { vm: *vm }
             }
             Action::GrantPower { domain, watts } => {
                 if self.set_grant_row(*domain, *watts) {
@@ -981,7 +924,19 @@ impl World for FleetWorld {
                         section.version = faults.version;
                     }
                 }
-                apply_to_sim(&mut self.sim, action)
+                self.sim.set_freq_ratio_all(*ratio);
+                Outcome::Applied
+            }
+            Action::SetFrequency {
+                target: FreqTarget::Vm(vm),
+                ratio,
+            } => {
+                self.sim.set_freq_ratio(*vm as usize, *ratio);
+                Outcome::Applied
+            }
+            Action::SetShare { share } => {
+                self.sim.set_share_all(*share);
+                Outcome::Applied
             }
             Action::InjectErrorBurst { server, count } => {
                 let Some(faults) = &mut self.faults else {
@@ -1027,7 +982,6 @@ impl World for FleetWorld {
                 faults.dropouts.push((*vm, *until));
                 Outcome::Applied
             }
-            _ => apply_to_sim(&mut self.sim, action),
         }
     }
 
@@ -1051,64 +1005,41 @@ mod tests {
     use super::*;
     use ic_sim::time::SimDuration;
 
-    fn sim() -> ClientServerSim {
-        let mut sim = ClientServerSim::new(1, 0.0028, 1.5, 4, 0.1);
-        sim.add_vm();
-        sim.set_qps(500.0);
-        sim
-    }
-
     #[test]
     fn snapshot_lists_vms_in_activation_order() {
-        let mut sim = sim();
-        sim.add_vm();
-        sim.advance_to(SimTime::from_secs(3));
-        let snap = sim_snapshot(&sim, sim.now());
-        let ids: Vec<u64> = snap.vms.iter().map(|v| v.vm).collect();
-        assert_eq!(
-            ids,
-            sim.active_vms()
-                .iter()
-                .map(|&v| v as u64)
-                .collect::<Vec<_>>()
-        );
-        assert!(snap.vms.iter().all(|v| v.vcores == 4));
+        let mut world = FleetWorld::new(FleetConfigBuilder::small(1).initial_vms(2).build());
+        let t = SimTime::from_secs(3);
+        world.advance_to(t);
+        let ids: Vec<u64> = world.telemetry(t).vms.iter().map(|v| v.vm).collect();
+        let active: Vec<u64> = world.sim().active_ids().iter().map(|&v| v as u64).collect();
+        assert_eq!(ids, active);
+        assert_eq!(ids.len(), 2);
+        assert!(world.telemetry(t).vms.iter().all(|v| v.vcores == 4));
     }
 
     #[test]
     fn scale_verbs_land_on_the_sim() {
-        let mut sim = sim();
-        assert_eq!(
-            apply_to_sim(
-                &mut sim,
-                &Action::ScaleOut {
-                    latency: SimDuration::from_secs(60),
-                    interference: 0.32
-                }
-            ),
-            Outcome::Applied
-        );
-        let created = sim_complete_scale_out(&mut sim);
+        let mut world = FleetWorld::new(FleetConfigBuilder::small(1).build());
+        let t = SimTime::from_secs(1);
+        let scale_out = Action::ScaleOut {
+            latency: SimDuration::from_secs(60),
+            interference: 0.32,
+        };
+        assert_eq!(world.apply(t, "asc", &scale_out), Outcome::Applied);
+        let created = world.complete_scale_out(t);
         let Outcome::VmCreated { vm } = created else {
             panic!("expected VmCreated, got {created:?}");
         };
+        let set = Action::SetFrequency {
+            target: FreqTarget::Vm(vm),
+            ratio: 1.2,
+        };
+        assert_eq!(world.apply(t, "asc", &set), Outcome::Applied);
+        assert!((world.sim().freq_ratio(vm as usize) - 1.2).abs() < 1e-12);
+        let scale_in = Action::ScaleIn { vm };
+        assert_eq!(world.apply(t, "asc", &scale_in), Outcome::VmRemoved { vm });
         assert_eq!(
-            apply_to_sim(
-                &mut sim,
-                &Action::SetFrequency {
-                    target: FreqTarget::Vm(vm),
-                    ratio: 1.2
-                }
-            ),
-            Outcome::Applied
-        );
-        assert!((sim.freq_ratio(vm as usize) - 1.2).abs() < 1e-12);
-        assert_eq!(
-            apply_to_sim(&mut sim, &Action::ScaleIn { vm }),
-            Outcome::VmRemoved { vm }
-        );
-        assert_eq!(
-            apply_to_sim(&mut sim, &Action::ScaleIn { vm }),
+            world.apply(t, "asc", &scale_in),
             Outcome::Rejected {
                 reason: "no such vm"
             }
@@ -1480,14 +1411,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn builder_small_preset_matches_deprecated_constructor() {
-        let legacy = FleetConfig::small(42);
-        let built = FleetConfigBuilder::small(42).build();
-        assert_eq!(format!("{legacy:?}"), format!("{built:?}"));
-    }
-
-    #[test]
     fn error_bursts_accumulate_and_are_rejected_without_fault_config() {
         let mut plain = FleetWorld::new(FleetConfigBuilder::small(1).build());
         assert!(!plain
@@ -1665,19 +1588,5 @@ mod tests {
         assert_eq!(world.downtime_s(horizon), 50.0);
         // 4 servers × 100 s = 400 server-seconds; 50 lost.
         assert!((world.availability(horizon) - 0.875).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cluster_verbs_are_not_this_worlds_problem() {
-        let mut sim = sim();
-        assert!(!apply_to_sim(&mut sim, &Action::FailServer { server: 0 }).accepted());
-        assert!(!apply_to_sim(
-            &mut sim,
-            &Action::GrantPower {
-                domain: 0,
-                watts: 100.0
-            }
-        )
-        .accepted());
     }
 }

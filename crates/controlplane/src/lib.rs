@@ -26,8 +26,8 @@
 //!   "asc + capping + governor + failure" experiments.
 //!
 //! The `AutoScaler` itself lives in `ic-autoscale` (which depends on
-//! this crate and implements [`Controller`] for it); the old
-//! `Runner` harness is now a thin [`ControlPlane`] composition.
+//! this crate and implements [`Controller`] for it); its Table XI
+//! `Runner` drives it alone on a [`FleetWorld`] with no power domains.
 
 pub mod action;
 pub mod controller;

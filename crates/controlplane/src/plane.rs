@@ -334,8 +334,7 @@ impl<W: World> ControlPlane<W> {
 
     /// Matures every deferred scale-out due by `now`, in decision
     /// order, *before* telemetry is assembled — the newborn VM must be
-    /// sampled (and share the load) from its creation tick onward, as
-    /// the original `AutoScaler::step` maturation did.
+    /// sampled (and share the load) from its creation tick onward.
     fn mature_deferred(state: &mut CpState<W>, now: SimTime) {
         let mut i = 0;
         while i < state.deferred.len() {
