@@ -2,10 +2,12 @@
 //!
 //! A counting global allocator (this test binary only) records every
 //! allocation made on the test thread while a warmed-up simulation runs
-//! a 30 s window at 4000 QPS on 8 VMs — roughly 240k events. Once the
-//! event heap, the in-flight slab and the VM queues have reached their
-//! steady-state sizes, the only allocations left are the doublings of
-//! the completion log, so the count stays at a few dozen.
+//! a 30 s window at 4000 QPS on 8 VMs — roughly 240k events. The kernel
+//! runs that window as sub-windows of a fixed number of arrivals, so
+//! once its per-sub-window arenas (arrivals, requests in service, sort
+//! keys) and the VM queues have reached their steady-state sizes, the
+//! only allocations left are the doublings of the completion log, and
+//! the count stays at a few dozen.
 
 use ic_sim::time::SimTime;
 use ic_workloads::mgk::ClientServerSim;
