@@ -62,6 +62,7 @@ use ic_power::units::Frequency;
 use ic_reliability::lifetime::{CompositeLifetimeModel, OperatingConditions};
 use ic_reliability::stability::StabilityModel;
 use ic_scenario::Scenario;
+use ic_sim::dist::DRAW_AHEAD_START;
 use ic_sim::queue::EventQueue;
 use ic_sim::rng::{SimRng, StreamVersion};
 use ic_sim::time::{SimDuration, SimTime};
@@ -199,6 +200,10 @@ fn normal_ns_per_sample(batches: u32, version: StreamVersion) -> f64 {
     });
     best / DRAWS as f64 * 1e9
 }
+
+/// Simulated seconds of the long M/G/k lines: 300k arrivals at 2000
+/// QPS, past the draw-ahead start threshold of 65 536 arrivals.
+const MGK_LONG_SECS: u64 = 150;
 
 /// The M/G/k end-to-end bench. Returns `(best_secs, engine_events,
 /// boxed_events)` for one simulated run of `sim_secs` at 2000 QPS on
@@ -575,6 +580,21 @@ fn main() {
         "mgk_throughput_v2            {:>10.3} Mev/s  ({mgk_boxed_v2} boxed of {mgk_events_v2} events)",
         mgk_events_v2 as f64 / mgk_best_v2 / 1e6
     );
+    // Long enough to pass the draw-ahead start threshold, so these two
+    // lines include the helper thread; the shapes above (and the
+    // `--json` keys) stay on the inline path.
+    let long_arrivals = MGK_LONG_SECS * 2000;
+    for (label, version) in [
+        ("mgk_long_throughput", StreamVersion::V1),
+        ("mgk_long_throughput_v2", StreamVersion::V2),
+    ] {
+        let (best, events, _) = mgk_measure(3, MGK_LONG_SECS, version);
+        println!(
+            "{label:<28} {:>10.3} Mev/s  ({long_arrivals} arrivals; helper after {} values)",
+            events as f64 / best / 1e6,
+            DRAW_AHEAD_START
+        );
+    }
     bench_autoscaler_step();
     bench_placement();
     bench_governor();

@@ -791,13 +791,18 @@ impl World for FleetWorld {
     fn apply(&mut self, now: SimTime, _source: &'static str, action: &Action) -> Outcome {
         match action {
             Action::ScaleOut { interference, .. } => {
+                if !(0.0..1.0).contains(interference) {
+                    return Outcome::Rejected {
+                        reason: "interference outside [0, 1)",
+                    };
+                }
                 // The in-flight VM creation (image transfer, network
                 // traffic) eats into the serving VMs' capacity.
                 self.sim.set_share_all(1.0 - interference);
                 Outcome::Applied
             }
             Action::ScaleIn { vm } => {
-                if !self.sim.remove_vm(*vm as usize) {
+                if *vm >= self.sim.vm_count() as u64 || !self.sim.remove_vm(*vm as usize) {
                     return Outcome::Rejected {
                         reason: "no such vm",
                     };
@@ -910,6 +915,11 @@ impl World for FleetWorld {
                     },
                 }
             }
+            Action::SetFrequency { ratio, .. } if !(ratio.is_finite() && *ratio > 0.0) => {
+                Outcome::Rejected {
+                    reason: "frequency ratio not positive and finite",
+                }
+            }
             Action::SetFrequency {
                 target: FreqTarget::Fleet,
                 ratio,
@@ -931,10 +941,20 @@ impl World for FleetWorld {
                 target: FreqTarget::Vm(vm),
                 ratio,
             } => {
+                if *vm >= self.sim.vm_count() as u64 {
+                    return Outcome::Rejected {
+                        reason: "no such vm",
+                    };
+                }
                 self.sim.set_freq_ratio(*vm as usize, *ratio);
                 Outcome::Applied
             }
             Action::SetShare { share } => {
+                if !(*share > 0.0 && *share <= 1.0) {
+                    return Outcome::Rejected {
+                        reason: "share outside (0, 1]",
+                    };
+                }
                 self.sim.set_share_all(*share);
                 Outcome::Applied
             }
@@ -1044,6 +1064,85 @@ mod tests {
                 reason: "no such vm"
             }
         );
+    }
+
+    /// Applies each action to a fresh one-VM world; every one must be
+    /// rejected with `reason`, leaving the VM's speed alone and the world
+    /// able to run on.
+    fn assert_rejected(actions: &[Action], reason: &'static str) {
+        for action in actions {
+            let mut world = FleetWorld::new(FleetConfigBuilder::small(1).build());
+            let t = SimTime::from_secs(1);
+            assert_eq!(
+                world.apply(t, "test", action),
+                Outcome::Rejected { reason },
+                "{action:?}"
+            );
+            assert_eq!(world.sim().freq_ratio(0), 1.0, "{action:?}");
+            world.advance_to(SimTime::from_secs(3));
+        }
+    }
+
+    #[test]
+    fn scale_out_with_interference_outside_the_unit_interval_is_rejected() {
+        let scale_out = |interference| Action::ScaleOut {
+            latency: SimDuration::from_secs(60),
+            interference,
+        };
+        assert_rejected(
+            &[-0.1, 1.0, 2.0, f64::NAN, f64::INFINITY].map(scale_out),
+            "interference outside [0, 1)",
+        );
+    }
+
+    #[test]
+    fn set_share_outside_zero_one_is_rejected() {
+        assert_rejected(
+            &[0.0, -0.5, 1.01, f64::NAN, f64::INFINITY].map(|share| Action::SetShare { share }),
+            "share outside (0, 1]",
+        );
+    }
+
+    #[test]
+    fn set_frequency_with_a_bad_ratio_is_rejected() {
+        let mut actions = Vec::new();
+        for ratio in [0.0, -1.2, f64::NAN, f64::INFINITY] {
+            for target in [FreqTarget::Fleet, FreqTarget::Vm(0)] {
+                actions.push(Action::SetFrequency { target, ratio });
+            }
+        }
+        assert_rejected(&actions, "frequency ratio not positive and finite");
+    }
+
+    #[test]
+    fn scale_in_of_a_vm_never_created_is_rejected() {
+        assert_rejected(
+            &[1, 7, u64::MAX].map(|vm| Action::ScaleIn { vm }),
+            "no such vm",
+        );
+    }
+
+    #[test]
+    fn set_frequency_on_a_vm_never_created_is_rejected() {
+        assert_rejected(
+            &[1, 7, u64::MAX].map(|vm| Action::SetFrequency {
+                target: FreqTarget::Vm(vm),
+                ratio: 1.2,
+            }),
+            "no such vm",
+        );
+        // A retired VM still has an id: setting it is accepted, as before.
+        let mut world = FleetWorld::new(FleetConfigBuilder::small(1).initial_vms(2).build());
+        let t = SimTime::from_secs(1);
+        assert_eq!(
+            world.apply(t, "test", &Action::ScaleIn { vm: 1 }),
+            Outcome::VmRemoved { vm: 1 }
+        );
+        let set = Action::SetFrequency {
+            target: FreqTarget::Vm(1),
+            ratio: 1.2,
+        };
+        assert_eq!(world.apply(t, "test", &set), Outcome::Applied);
     }
 
     #[test]

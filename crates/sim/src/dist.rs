@@ -18,10 +18,15 @@
 //! bit-identical values for the same generator state, under either
 //! [stream version](crate::rng::StreamVersion); [`DrawBuffer`] layers
 //! batched refills on top of `DistKind` without changing the per-stream
-//! value sequence.
+//! value sequence, and [`DrawAhead`] moves those refills onto a helper
+//! thread, again without changing a value.
 
 use crate::rng::{SimRng, StreamVersion};
 use std::fmt;
+
+mod ahead;
+
+pub use ahead::{draw_ahead_helpers, DrawAhead, Lane, DRAW_AHEAD_START};
 
 // ---------------------------------------------------------------------------
 // Shared transform helpers.
@@ -450,6 +455,19 @@ impl DistKind {
             DistKind::Empirical(e) => e.scv,
         }
     }
+
+    /// Raw 64-bit draws one sample takes from a v1 generator. Every v1
+    /// transform consumes a fixed number (v2's ziggurat does not), so a
+    /// v1 position can be reached by skipping raw draws instead of
+    /// re-running the transforms.
+    fn v1_raw_draws(&self) -> u64 {
+        match self {
+            DistKind::Deterministic { .. } => 0,
+            DistKind::LogNormal { .. } => 2,
+            DistKind::Erlang { k, .. } => u64::from(*k),
+            DistKind::Exponential { .. } | DistKind::Pareto { .. } | DistKind::Empirical(_) => 1,
+        }
+    }
 }
 
 impl Dist for DistKind {
@@ -510,7 +528,8 @@ impl From<Empirical> for DistKind {
     }
 }
 
-/// Number of samples a [`DrawBuffer`] materializes per refill.
+/// Number of samples a [`DrawBuffer`] materializes per refill, and a
+/// [`DrawAhead`] block holds.
 ///
 /// Large enough to amortize the RNG state round-trip and let the
 /// compiler vectorize the transform passes; small enough (8 KiB) to
@@ -575,41 +594,48 @@ impl DrawBuffer {
             self.buf.resize(DRAW_BUFFER_LEN, 0.0);
         }
         self.pos = 0;
-        match &self.dist {
-            // Lognormal: two passes. The z-fill is sequential in the
-            // generator; the exp transform is a pure map the compiler
-            // can vectorize. Same arithmetic per element as the scalar
-            // path, so the values are identical.
-            DistKind::LogNormal { mu, sigma } => {
-                let (mu, sigma) = (*mu, *sigma);
-                for slot in self.buf.iter_mut() {
-                    *slot = self.rng.standard_normal();
-                }
-                match self.rng.version() {
-                    StreamVersion::V1 => {
-                        for slot in self.buf.iter_mut() {
-                            *slot = (mu + sigma * *slot).exp();
-                        }
+        fill_values(&self.dist, &mut self.rng, &mut self.buf);
+    }
+}
+
+/// Fills `buf` with the next `buf.len()` variates of `dist` on `rng`:
+/// the values that many [`DistKind::sample`] calls would return, in
+/// order, whatever the length of `buf`.
+fn fill_values(dist: &DistKind, rng: &mut SimRng, buf: &mut [f64]) {
+    match dist {
+        // Lognormal: two passes. The z-fill is sequential in the
+        // generator; the exp transform is a pure map the compiler can
+        // vectorize. Same arithmetic per element as the scalar path, so
+        // the values are identical.
+        DistKind::LogNormal { mu, sigma } => {
+            let (mu, sigma) = (*mu, *sigma);
+            for slot in buf.iter_mut() {
+                *slot = rng.standard_normal();
+            }
+            match rng.version() {
+                StreamVersion::V1 => {
+                    for slot in buf.iter_mut() {
+                        *slot = (mu + sigma * *slot).exp();
                     }
-                    StreamVersion::V2 => {
-                        for slot in self.buf.iter_mut() {
-                            *slot = crate::zig::fast_exp(mu + sigma * *slot);
-                        }
+                }
+                StreamVersion::V2 => {
+                    for slot in buf.iter_mut() {
+                        *slot = crate::zig::fast_exp(mu + sigma * *slot);
                     }
                 }
             }
-            // Exponential: one tight pass over the ziggurat (or the v1
-            // log path) — the mean scale is exact sign-free arithmetic.
-            DistKind::Exponential { mean } => {
-                let mean = *mean;
-                for slot in self.buf.iter_mut() {
-                    *slot = mean * self.rng.standard_exp();
-                }
+        }
+        // Exponential: one tight pass over the ziggurat (or the v1 log
+        // path) — the mean scale is exact sign-free arithmetic.
+        DistKind::Exponential { mean } => {
+            let mean = *mean;
+            for slot in buf.iter_mut() {
+                *slot = mean * rng.standard_exp();
             }
-            dist => {
-                for slot in self.buf.iter_mut() {
-                    *slot = dist.sample(&mut self.rng);
-                }
+        }
+        dist => {
+            for slot in buf.iter_mut() {
+                *slot = dist.sample(rng);
             }
         }
     }
@@ -692,6 +718,27 @@ mod tests {
     #[should_panic(expected = "shape must exceed 2")]
     fn pareto_low_shape_panics() {
         let _ = Pareto::new(1.0, 1.5);
+    }
+
+    #[test]
+    fn v1_raw_draw_counts_match_the_transforms() {
+        let dists = [
+            DistKind::from(Deterministic::new(1.0)),
+            DistKind::from(Exponential::with_mean(2.0)),
+            DistKind::from(LogNormal::with_mean_scv(1.0, 2.0)),
+            DistKind::from(Pareto::new(1.0, 3.0)),
+            DistKind::from(Erlang::new(3, 1.0)),
+            DistKind::from(Empirical::new(vec![1.0, 2.0])),
+        ];
+        for dist in dists {
+            let mut drawn = SimRng::seed_from_u64(3);
+            let mut skipped = drawn.clone();
+            dist.sample(&mut drawn);
+            for _ in 0..dist.v1_raw_draws() {
+                skipped.next_u64();
+            }
+            assert_eq!(drawn.next_u64(), skipped.next_u64(), "{dist:?}");
+        }
     }
 
     #[test]
