@@ -54,9 +54,13 @@ use ic_cluster::cluster::Cluster;
 use ic_cluster::placement::{Oversubscription, PlacementPolicy};
 use ic_cluster::server::ServerSpec;
 use ic_cluster::vm::VmSpec;
-use ic_controlplane::{Action, ControlPlane, FleetConfigBuilder, FleetWorld, Outcome, World};
+use ic_controlplane::controllers::PowerCapController;
+use ic_controlplane::{
+    Action, ControlPlane, Controller, FleetConfigBuilder, FleetWorld, FreqTarget, Outcome, World,
+};
 use ic_core::governor::{GovernorConfig, OverclockGovernor};
 use ic_obs::json::{write_escaped, write_f64};
+use ic_power::capping::PowerAllocator;
 use ic_power::cpu::CpuSku;
 use ic_power::units::Frequency;
 use ic_reliability::lifetime::{CompositeLifetimeModel, OperatingConditions};
@@ -369,6 +373,35 @@ fn fleet10k_ctrl_ticks_per_sec(quick: bool) -> f64 {
     ticks as f64 / secs
 }
 
+/// Times one capping re-plan of the 10 000-domain fleet plus its grant
+/// actuation: a fleet-wide frequency step re-solves every domain's
+/// demand, the capper re-allocates, and each grant that moved is
+/// applied to the world. The ratio alternates between 1.0 and 1.2, so
+/// every iteration is a real re-plan. Returns the best seconds per
+/// re-plan and the grants one re-plan applies.
+fn fleet10k_replan(batches: u32) -> (f64, usize) {
+    let config = fleet_scale::fleet_config(10_000, true);
+    let mut cap = PowerCapController::new(PowerAllocator::new(config.budget_w));
+    let mut world = FleetWorld::new(config);
+    let t = SimTime::from_secs(1);
+    let mut ratio = 1.0;
+    let mut grants = 0;
+    let best = best_of(batches, 20, || {
+        ratio = if ratio == 1.0 { 1.2 } else { 1.0 };
+        let step = Action::SetFrequency {
+            target: FreqTarget::Fleet,
+            ratio,
+        };
+        world.apply(t, "bench", &step);
+        let actions = cap.observe(world.telemetry(t));
+        for action in &actions {
+            world.apply(t, "powercap", action);
+        }
+        grants = actions.len();
+    });
+    (best, grants)
+}
+
 /// Times the chaos experiment (wear-coupled fault injection, B2 vs OC3
 /// fleets with degradation controllers) end-to-end and returns engine
 /// events per wall second across both fleets. This is the gate on the
@@ -619,6 +652,11 @@ fn main() {
     println!(
         "fleet10k_ctrl_ticks          {:>10.3} ticks/s",
         fleet10k_ctrl_ticks_per_sec(true)
+    );
+    let (replan_s, replan_grants) = fleet10k_replan(5);
+    println!(
+        "fleet10k_replan              {:>10.3} us/iter (10k domains, {replan_grants} grants)",
+        replan_s * 1e6
     );
     println!(
         "chaos_events                 {:>10.3} Mev/s  (B2 + OC3 fleets)",

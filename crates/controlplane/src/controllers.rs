@@ -12,7 +12,7 @@
 
 use crate::action::{Action, FreqTarget};
 use crate::controller::Controller;
-use crate::telemetry::TelemetrySnapshot;
+use crate::telemetry::{DomainPower, TelemetrySnapshot};
 use ic_core::governor::{GovernorDecision, OverclockGovernor};
 use ic_power::capping::{AllocScratch, PowerAllocator, PowerGrant, PowerRequest};
 use ic_power::units::Frequency;
@@ -126,8 +126,8 @@ impl Controller for GovernorController {
 pub struct PowerCapController {
     allocator: PowerAllocator,
     last_grants: Vec<PowerGrant>,
-    /// Request rows rebuilt from the power section each re-allocation
-    /// (reused, never reallocated at steady state).
+    /// The request rows `last_grants` was allocated from (reused, never
+    /// reallocated at steady state).
     requests: Vec<PowerRequest>,
     scratch: AllocScratch,
     /// See [`GovernorController::last_power_version`]: the allocation
@@ -143,7 +143,7 @@ impl PowerCapController {
             allocator,
             last_grants: Vec::new(),
             requests: Vec::new(),
-            scratch: AllocScratch::default(),
+            scratch: AllocScratch,
             last_power_version: None,
         }
     }
@@ -156,6 +156,18 @@ impl PowerCapController {
     /// The most recent allocation, in request order.
     pub fn last_grants(&self) -> &[PowerGrant] {
         &self.last_grants
+    }
+
+    /// `true` if every domain row asks exactly (bit for bit) what the
+    /// request row `last_grants` was allocated from asked.
+    fn requests_match(&self, domains: &[DomainPower]) -> bool {
+        self.requests.len() == domains.len()
+            && self.requests.iter().zip(domains).all(|(r, d)| {
+                r.id == d.domain
+                    && r.priority == d.priority
+                    && r.floor_w.to_bits() == d.floor_w.to_bits()
+                    && r.demand_w.to_bits() == d.demand_w.to_bits()
+            })
     }
 }
 
@@ -172,21 +184,28 @@ impl Controller for PowerCapController {
             return Vec::new();
         }
         self.last_power_version = Some(power.version);
-        self.requests.clear();
-        self.requests
-            .extend(power.domains.iter().map(|d| PowerRequest {
-                id: d.domain,
-                priority: d.priority,
-                floor_w: d.floor_w,
-                demand_w: d.demand_w,
-            }));
-        self.allocator
-            .try_allocate_into(&self.requests, &mut self.scratch, &mut self.last_grants)
-            .unwrap_or_else(|e| panic!("{e}"));
+        // A version bump often comes from this controller's own grants
+        // landing, which move `granted_w` but no request field. The
+        // allocation is a pure function of the request rows, so
+        // unchanged rows keep `last_grants` and skip the allocator.
+        if !self.requests_match(&power.domains) {
+            self.requests.clear();
+            self.requests
+                .extend(power.domains.iter().map(|d| PowerRequest {
+                    id: d.domain,
+                    priority: d.priority,
+                    floor_w: d.floor_w,
+                    demand_w: d.demand_w,
+                }));
+            self.allocator
+                .try_allocate_into(&self.requests, &mut self.scratch, &mut self.last_grants)
+                .unwrap_or_else(|e| panic!("{e}"));
+        }
         let mut actions = Vec::new();
         // Requests were built from the domain rows in order and grants
         // come back in request order, so grant i belongs to domain row
-        // i — no per-grant search.
+        // i — no per-grant search. Diffing against the rows' current
+        // grants re-issues any grant another party moved.
         for (grant, row) in self.last_grants.iter().zip(&power.domains) {
             if row.granted_w != grant.granted_w {
                 actions.push(Action::GrantPower {
@@ -441,6 +460,108 @@ mod tests {
         // allocation, whose actions the change suppression would drop.
         assert!(cap.observe(&snap).is_empty());
         assert_eq!(cap.last_grants().len(), 1, "last allocation is kept");
+    }
+
+    const REUSE_BUDGET_W: f64 = 480.0;
+
+    /// Drives one long-lived capper (which reuses its allocation while
+    /// the request rows stay put) and, at every step, a freshly built
+    /// one (which always allocates) through the same snapshots; both
+    /// must emit the same actions and hold the same grants.
+    fn assert_reuse_matches_fresh(steps: &[Vec<DomainPower>]) -> Vec<Vec<Action>> {
+        let alloc = PowerAllocator::new(REUSE_BUDGET_W);
+        let bits = |c: &PowerCapController| {
+            c.last_grants()
+                .iter()
+                .map(|g| (g.id, g.granted_w.to_bits(), g.capped))
+                .collect::<Vec<_>>()
+        };
+        let mut kept = PowerCapController::new(alloc);
+        let mut emitted = Vec::new();
+        for (version, domains) in steps.iter().enumerate() {
+            let snap = snapshot_with_power(domains.clone(), REUSE_BUDGET_W, version as u64);
+            let mut fresh = PowerCapController::new(alloc);
+            let actions = kept.observe(&snap);
+            assert_eq!(actions, fresh.observe(&snap), "step {version}");
+            assert_eq!(bits(&kept), bits(&fresh), "step {version}");
+            emitted.push(actions);
+        }
+        emitted
+    }
+
+    /// Three domains, one per class, at their floors.
+    fn floor_rows(demand_w: [f64; 3]) -> Vec<DomainPower> {
+        let priorities = [Priority::Critical, Priority::Normal, Priority::Batch];
+        (0..3)
+            .map(|i| DomainPower {
+                domain: 10 + i as u64,
+                priority: priorities[i],
+                floor_w: 60.0,
+                demand_w: demand_w[i],
+                granted_w: 60.0,
+            })
+            .collect()
+    }
+
+    /// `rows` with every grant the allocator hands out landed.
+    fn settle(mut rows: Vec<DomainPower>) -> Vec<DomainPower> {
+        let requests: Vec<PowerRequest> = rows
+            .iter()
+            .map(|d| PowerRequest {
+                id: d.domain,
+                priority: d.priority,
+                floor_w: d.floor_w,
+                demand_w: d.demand_w,
+            })
+            .collect();
+        let grants = PowerAllocator::new(REUSE_BUDGET_W).allocate(&requests);
+        for (row, grant) in rows.iter_mut().zip(grants) {
+            row.granted_w = grant.granted_w;
+        }
+        rows
+    }
+
+    #[test]
+    fn powercap_reissues_a_grant_another_party_moved() {
+        let first = floor_rows([200.0, 180.0, 160.0]);
+        let settled = settle(first.clone());
+        // A revoke by another party drops domain 11 back to its floor.
+        let mut revoked = settled.clone();
+        revoked[1].granted_w = revoked[1].floor_w;
+        let emitted =
+            assert_reuse_matches_fresh(&[first, settled.clone(), revoked, settled.clone()]);
+        assert_eq!(emitted[0].len(), 3, "first tick grants every domain");
+        assert!(emitted[1].is_empty(), "own grants landing is quiet");
+        assert_eq!(
+            emitted[2],
+            vec![Action::GrantPower {
+                domain: 11,
+                watts: settled[1].granted_w
+            }],
+            "the revoked grant is re-issued"
+        );
+        assert!(emitted[3].is_empty());
+    }
+
+    #[test]
+    fn powercap_reallocates_when_a_demand_moves_by_one_ulp() {
+        let first = floor_rows([200.0, 180.0, 160.0]);
+        let settled = settle(first.clone());
+        // The critical domain asks one ulp more; it is served in full,
+        // so only a re-allocation can grant that ulp.
+        let mut nudged = settled.clone();
+        let ask = f64::from_bits(200f64.to_bits() + 1);
+        nudged[0].demand_w = ask;
+        let emitted = assert_reuse_matches_fresh(&[first, settled, nudged]);
+        assert!(emitted[1].is_empty());
+        assert!(
+            emitted[2].contains(&Action::GrantPower {
+                domain: 10,
+                watts: ask
+            }),
+            "{:?}",
+            emitted[2]
+        );
     }
 
     #[test]

@@ -27,6 +27,7 @@ use ic_sim::rng::StreamVersion;
 use ic_sim::time::SimTime;
 use ic_thermal::junction::ThermalInterface;
 use ic_workloads::mgk::ClientServerSim;
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
 /// Stamps `now` on `out` and refills its per-VM section from `sim`: one
@@ -297,7 +298,14 @@ pub struct FleetWorld {
     parked: Vec<u64>,
     budget_w: f64,
     domains: Vec<DomainSpec>,
-    grants: BTreeMap<u64, f64>,
+    /// The authoritative grants, one slot per domain row (spec order),
+    /// `None` where no grant stands. Empty until the first grant lands,
+    /// so a world that is never capped pays nothing for it.
+    granted: Vec<Option<f64>>,
+    /// `granted` keyed by domain id, as [`FleetWorld::grants`] hands it
+    /// out: derived on the first read after a grant moves, so the
+    /// per-grant cost stays one row write.
+    grants_map: OnceCell<BTreeMap<u64, f64>>,
     /// The persistent snapshot [`World::telemetry`] hands out. VM rows
     /// are refilled (allocation-free) each tick; the power section is
     /// updated in place at actuation time; the cluster section is
@@ -519,7 +527,8 @@ impl FleetWorld {
             parked: Vec::new(),
             budget_w: config.budget_w,
             domains: config.domains,
-            grants: BTreeMap::new(),
+            granted: Vec::new(),
+            grants_map: OnceCell::new(),
             snap,
             cluster_dirty: true,
             power_model,
@@ -556,7 +565,13 @@ impl FleetWorld {
 
     /// Current power grants by domain id.
     pub fn grants(&self) -> &BTreeMap<u64, f64> {
-        &self.grants
+        self.grants_map.get_or_init(|| {
+            self.domains
+                .iter()
+                .zip(&self.granted)
+                .filter_map(|(d, g)| g.map(|w| (d.domain, w)))
+                .collect()
+        })
     }
 
     /// Fleet-wide demand refreshes the power model has performed (0
@@ -612,7 +627,7 @@ impl FleetWorld {
     }
 
     /// Rebuilds the whole snapshot from authoritative state (sim,
-    /// cluster, grants map, domain specs, power model, fault state),
+    /// cluster, grant store, domain specs, power model, fault state),
     /// ignoring the incrementally-maintained copy. The incremental
     /// snapshot must be bitwise-equal to this at every tick — the
     /// property tests pin that; production ticks never pay this cost.
@@ -661,7 +676,7 @@ impl FleetWorld {
                         .power_model
                         .as_ref()
                         .map_or(d.demand_w, |m| m.recompute_demand_for(i)),
-                    granted_w: self.grants.get(&d.domain).copied().unwrap_or(d.floor_w),
+                    granted_w: self.granted.get(i).copied().flatten().unwrap_or(d.floor_w),
                 })
                 .collect(),
         });
@@ -682,19 +697,33 @@ impl FleetWorld {
         snapshot
     }
 
-    /// Updates one power row in place (rows are in ascending domain-id
-    /// order) and bumps the section version. Returns `false` for an
-    /// unknown domain.
-    fn set_grant_row(&mut self, domain: u64, granted_w: f64) -> bool {
-        let power = self.snap.power.as_mut().expect("fleet models power");
-        match power.domains.binary_search_by_key(&domain, |d| d.domain) {
-            Ok(i) => {
-                power.domains[i].granted_w = granted_w;
-                power.version += 1;
-                true
+    /// The row of `domain`, or `None` for an unknown domain. Ids are
+    /// unique, so a fleet numbered `0..n` finds row `domain` at once;
+    /// any other numbering falls back to a binary search (rows are in
+    /// ascending domain-id order).
+    fn domain_row(&self, domain: u64) -> Option<usize> {
+        if let Ok(guess) = usize::try_from(domain) {
+            if self.domains.get(guess).is_some_and(|d| d.domain == domain) {
+                return Some(guess);
             }
-            Err(_) => false,
         }
+        self.domains
+            .binary_search_by_key(&domain, |d| d.domain)
+            .ok()
+    }
+
+    /// Records row `i`'s standing grant (`None`: revoked), mirrors the
+    /// watts it now draws into its power row, and bumps the section
+    /// version.
+    fn set_grant(&mut self, i: usize, grant: Option<f64>) {
+        if self.granted.is_empty() {
+            self.granted = vec![None; self.domains.len()];
+        }
+        self.granted[i] = grant;
+        self.grants_map.take();
+        let power = self.snap.power.as_mut().expect("fleet models power");
+        power.domains[i].granted_w = grant.unwrap_or(self.domains[i].floor_w);
+        power.version += 1;
     }
 
     /// Recomputes demand rows after a fleet-wide frequency change (only
@@ -802,7 +831,8 @@ impl World for FleetWorld {
                 Outcome::Applied
             }
             Action::ScaleIn { vm } => {
-                if *vm >= self.sim.vm_count() as u64 || !self.sim.remove_vm(*vm as usize) {
+                let removed = usize::try_from(*vm).is_ok_and(|vm| self.sim.remove_vm(vm));
+                if !removed {
                     return Outcome::Rejected {
                         reason: "no such vm",
                     };
@@ -818,35 +848,27 @@ impl World for FleetWorld {
                 }
                 Outcome::VmRemoved { vm: *vm }
             }
-            Action::GrantPower { domain, watts } => {
-                if self.set_grant_row(*domain, *watts) {
-                    self.grants.insert(*domain, *watts);
+            Action::GrantPower { domain, watts } => match self.domain_row(*domain) {
+                Some(i) => {
+                    self.set_grant(i, Some(*watts));
                     Outcome::PowerGranted {
                         domain: *domain,
                         watts: *watts,
                     }
-                } else {
-                    Outcome::Rejected {
-                        reason: "unknown power domain",
-                    }
                 }
-            }
-            Action::RevokePower { domain } => {
-                if self.grants.remove(domain).is_some() {
-                    let floor = self
-                        .domains
-                        .iter()
-                        .find(|d| d.domain == *domain)
-                        .map(|d| d.floor_w)
-                        .expect("grant existed, so the domain does");
-                    self.set_grant_row(*domain, floor);
+                None => Outcome::Rejected {
+                    reason: "unknown power domain",
+                },
+            },
+            Action::RevokePower { domain } => match self.domain_row(*domain) {
+                Some(i) if self.granted.get(i).is_some_and(Option::is_some) => {
+                    self.set_grant(i, None);
                     Outcome::Applied
-                } else {
-                    Outcome::Rejected {
-                        reason: "no grant to revoke",
-                    }
                 }
-            }
+                _ => Outcome::Rejected {
+                    reason: "no grant to revoke",
+                },
+            },
             Action::FailServer { server } => match self.cluster.fail_server(now, *server) {
                 Ok(report) => {
                     // Downtime accounting: only a healthy → failed
@@ -1445,6 +1467,74 @@ mod tests {
             "final divergence (seed {seed})"
         );
         tally
+    }
+
+    #[test]
+    fn grant_store_matches_a_model_map_on_sparse_domain_ids() {
+        use ic_sim::rng::SimRng;
+        let ids = [5u64, 9, 40, 41];
+        let classes = [Priority::Critical, Priority::Batch, Priority::Normal];
+        let domains: Vec<DomainSpec> = ids
+            .iter()
+            .enumerate()
+            .map(|(i, &domain)| DomainSpec {
+                domain,
+                priority: classes[i % 3],
+                floor_w: 50.0 + i as f64,
+                demand_w: 300.0,
+            })
+            .collect();
+        // Known ids; unknown ids between and past them, including row
+        // indexes whose rows hold other ids (0, 1); and the largest id.
+        let probes = [0, 1, 5, 6, 9, 40, 41, 42, u64::MAX];
+        for seed in [2, 31, 64] {
+            let config = FleetConfigBuilder::small(seed)
+                .domains(domains.clone())
+                .build();
+            let mut world = FleetWorld::new(config);
+            let mut model: BTreeMap<u64, f64> = BTreeMap::new();
+            let mut rng = SimRng::seed_from_u64(seed);
+            let t = SimTime::ZERO;
+            let mut version = 0;
+            for step in 0..400 {
+                let domain = probes[rng.index(probes.len())];
+                let (action, expect) = if rng.chance(0.6) {
+                    let watts = rng.uniform_range(50.0, 300.0);
+                    let expect = if ids.contains(&domain) {
+                        model.insert(domain, watts);
+                        Outcome::PowerGranted { domain, watts }
+                    } else {
+                        Outcome::Rejected {
+                            reason: "unknown power domain",
+                        }
+                    };
+                    (Action::GrantPower { domain, watts }, expect)
+                } else {
+                    let expect = if model.remove(&domain).is_some() {
+                        Outcome::Applied
+                    } else {
+                        Outcome::Rejected {
+                            reason: "no grant to revoke",
+                        }
+                    };
+                    (Action::RevokePower { domain }, expect)
+                };
+                let context = format!("step {step}, seed {seed}, {action:?}");
+                assert_eq!(world.apply(t, "prop", &action), expect, "{context}");
+                version += u64::from(expect.accepted());
+                // Sometimes skip the reads so several grants move
+                // between two derivations of the map.
+                if rng.index(3) == 0 {
+                    continue;
+                }
+                assert_eq!(world.grants(), &model, "{context}");
+                let expect_snap = world.recompute_snapshot(t);
+                let got = world.telemetry(t);
+                assert_eq!(got, &expect_snap, "{context}");
+                assert_eq!(got.power.as_ref().unwrap().version, version, "{context}");
+            }
+            assert_eq!(world.grants(), &model, "final (seed {seed})");
+        }
     }
 
     #[test]

@@ -77,15 +77,12 @@ pub struct PowerGrant {
     pub capped: bool,
 }
 
-/// Reusable working buffers for
-/// [`PowerAllocator::try_allocate_into`]: the priority-sorted index
-/// permutation and the per-request running grants. One instance per
-/// control loop; contents are scratch only (cleared on every call).
+/// The scratch argument of [`PowerAllocator::try_allocate_into`]. The
+/// allocator walks the priority classes in place and writes straight
+/// into the caller's grant buffer, so it needs no working buffers; the
+/// type stays so that per-tick callers keep their signature.
 #[derive(Debug, Clone, Default)]
-pub struct AllocScratch {
-    order: Vec<usize>,
-    granted: Vec<f64>,
-}
+pub struct AllocScratch;
 
 /// A fixed power budget shared by prioritized consumers.
 ///
@@ -153,85 +150,73 @@ impl PowerAllocator {
     /// with `demand_w < floor_w` or negative values is rejected.
     pub fn try_allocate(&self, requests: &[PowerRequest]) -> Result<Vec<PowerGrant>, CapError> {
         let mut out = Vec::with_capacity(requests.len());
-        self.try_allocate_into(requests, &mut AllocScratch::default(), &mut out)?;
+        self.try_allocate_into(requests, &mut AllocScratch, &mut out)?;
         Ok(out)
     }
 
     /// Buffer-reusing form of [`try_allocate`](Self::try_allocate):
-    /// identical grants (bitwise — same arithmetic in the same order),
-    /// but the sort order and per-request working state live in
-    /// `scratch` and the grants land in `out` (cleared first), so a
-    /// per-tick caller allocates nothing once the buffers have grown to
-    /// the fleet size.
+    /// the grants land in `out` (cleared first), so a per-tick caller
+    /// allocates nothing once `out` has grown to the fleet size.
+    ///
+    /// No sort: one pass validates the requests and sums each class's
+    /// headroom in request order, and after the floor sum one pass
+    /// assigns every grant from its class's outcome. A stable sort by
+    /// descending priority visits each class in request order too, so
+    /// every sum, and hence every grant, is the same to the bit as
+    /// walking the sorted order.
     pub fn try_allocate_into(
         &self,
         requests: &[PowerRequest],
-        scratch: &mut AllocScratch,
+        _scratch: &mut AllocScratch,
         out: &mut Vec<PowerGrant>,
     ) -> Result<(), CapError> {
         out.clear();
+        // Indexed by `Priority as usize`. The sums start at -0.0, as
+        // `Iterator::sum` over `f64` does.
+        let mut present = [false; 3];
+        let mut headroom = [-0.0f64; 3];
         for r in requests {
             if !(r.floor_w >= 0.0 && r.demand_w >= r.floor_w && r.demand_w.is_finite()) {
                 return Err(CapError::InvalidRequest { request: r.clone() });
             }
+            present[r.priority as usize] = true;
+            headroom[r.priority as usize] += r.demand_w - r.floor_w;
         }
         let floors: f64 = requests.iter().map(|r| r.floor_w).sum();
         let mut remaining = (self.budget_w - floors).max(0.0);
 
-        // Group indexes by priority, highest class served first.
-        let order = &mut scratch.order;
-        order.clear();
-        order.extend(0..requests.len());
-        order.sort_by(|&a, &b| requests[b].priority.cmp(&requests[a].priority));
-
-        let granted = &mut scratch.granted;
-        granted.clear();
-        granted.extend(requests.iter().map(|r| r.floor_w));
-        let mut i = 0;
-        while i < order.len() {
-            // Collect the whole priority class.
-            let class = requests[order[i]].priority;
-            let mut j = i;
-            while j < order.len() && requests[order[j]].priority == class {
-                j += 1;
+        // Highest class first. `None`: the class gets full demand;
+        // `Some(share)`: what is left is shared in proportion to
+        // headroom. An absent class is skipped, as the sorted walk never
+        // visited it.
+        let mut share = [None; 3];
+        for class in [Priority::Critical, Priority::Normal, Priority::Batch] {
+            let c = class as usize;
+            if !present[c] {
+                continue;
             }
-            let members = &order[i..j];
-            let headroom: f64 = members
-                .iter()
-                .map(|&m| requests[m].demand_w - requests[m].floor_w)
-                .sum();
-            if headroom <= remaining {
-                // Everyone in this class gets full demand.
-                for &m in members {
-                    granted[m] = requests[m].demand_w;
-                }
-                remaining -= headroom;
+            if headroom[c] <= remaining {
+                remaining -= headroom[c];
             } else {
-                // Proportional sharing of what's left.
-                let share = if headroom > 0.0 {
-                    remaining / headroom
+                share[c] = Some(if headroom[c] > 0.0 {
+                    remaining / headroom[c]
                 } else {
                     0.0
-                };
-                for &m in members {
-                    let h = requests[m].demand_w - requests[m].floor_w;
-                    granted[m] = requests[m].floor_w + h * share;
-                }
+                });
                 remaining = 0.0;
             }
-            i = j;
         }
-
-        out.extend(
-            requests
-                .iter()
-                .zip(granted.iter())
-                .map(|(r, &g)| PowerGrant {
-                    id: r.id,
-                    granted_w: g,
-                    capped: g < r.demand_w - 1e-9,
-                }),
-        );
+        out.extend(requests.iter().map(|r| {
+            let granted_w = match share[r.priority as usize] {
+                None => r.demand_w,
+                Some(share) => r.floor_w + (r.demand_w - r.floor_w) * share,
+            };
+            PowerGrant {
+                id: r.id,
+                granted_w,
+                capped: granted_w < r.demand_w - 1e-9,
+            }
+        }));
         Ok(())
     }
 
@@ -250,6 +235,162 @@ impl PowerAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ic_sim::rng::SimRng;
+
+    /// The sorting allocator: a stable sort of the request indexes by
+    /// descending priority, then each class in sorted order. The
+    /// reference the class walk must match to the bit.
+    fn sorted_reference(budget_w: f64, requests: &[PowerRequest]) -> Vec<PowerGrant> {
+        let floors: f64 = requests.iter().map(|r| r.floor_w).sum();
+        let mut remaining = (budget_w - floors).max(0.0);
+        let mut order: Vec<usize> = (0..requests.len()).collect();
+        order.sort_by(|&a, &b| requests[b].priority.cmp(&requests[a].priority));
+        let mut granted: Vec<f64> = requests.iter().map(|r| r.floor_w).collect();
+        let mut i = 0;
+        while i < order.len() {
+            let class = requests[order[i]].priority;
+            let mut j = i;
+            while j < order.len() && requests[order[j]].priority == class {
+                j += 1;
+            }
+            let members = &order[i..j];
+            let headroom: f64 = members
+                .iter()
+                .map(|&m| requests[m].demand_w - requests[m].floor_w)
+                .sum();
+            if headroom <= remaining {
+                for &m in members {
+                    granted[m] = requests[m].demand_w;
+                }
+                remaining -= headroom;
+            } else {
+                let share = if headroom > 0.0 {
+                    remaining / headroom
+                } else {
+                    0.0
+                };
+                for &m in members {
+                    let h = requests[m].demand_w - requests[m].floor_w;
+                    granted[m] = requests[m].floor_w + h * share;
+                }
+                remaining = 0.0;
+            }
+            i = j;
+        }
+        requests
+            .iter()
+            .zip(granted)
+            .map(|(r, g)| PowerGrant {
+                id: r.id,
+                granted_w: g,
+                capped: g < r.demand_w - 1e-9,
+            })
+            .collect()
+    }
+
+    /// Random requests: `n` rows drawn from `classes`, about one in
+    /// five with `floor_w == demand_w`.
+    fn random_requests(rng: &mut SimRng, n: usize, classes: &[Priority]) -> Vec<PowerRequest> {
+        (0..n)
+            .map(|i| {
+                let floor = rng.uniform_range(0.0, 150.0);
+                let demand = if rng.index(5) == 0 {
+                    floor
+                } else {
+                    floor + rng.uniform_range(0.0, 200.0)
+                };
+                req(
+                    1000 + 3 * i as u64,
+                    classes[rng.index(classes.len())],
+                    floor,
+                    demand,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn class_walk_matches_the_sorted_reference_bitwise() {
+        use Priority::{Batch, Critical, Normal};
+        let mixes: [&[Priority]; 7] = [
+            &[Critical, Normal, Batch],
+            &[Critical, Normal],
+            &[Critical, Batch],
+            &[Normal, Batch],
+            &[Critical],
+            &[Normal],
+            &[Batch],
+        ];
+        let mut rng = SimRng::seed_from_u64(20);
+        let mut out = Vec::new();
+        let mut cases = 0;
+        for n in [0, 1, 2, 17, 10_000] {
+            for classes in mixes {
+                for _ in 0..if n >= 10_000 { 1 } else { 8 } {
+                    let requests = random_requests(&mut rng, n, classes);
+                    let floors: f64 = requests.iter().map(|r| r.floor_w).sum();
+                    let demand: f64 = requests.iter().map(|r| r.demand_w).sum();
+                    let budgets = [
+                        0.0,
+                        0.5 * floors,
+                        floors,
+                        0.5 * (floors + demand),
+                        demand,
+                        demand * 1.5 + 1.0,
+                    ];
+                    for budget in budgets {
+                        let alloc = PowerAllocator::new(budget);
+                        alloc
+                            .try_allocate_into(&requests, &mut AllocScratch, &mut out)
+                            .unwrap();
+                        let expect = sorted_reference(budget, &requests);
+                        assert_eq!(out.len(), expect.len());
+                        for (got, want) in out.iter().zip(&expect) {
+                            assert_eq!(
+                                (got.id, got.granted_w.to_bits(), got.capped),
+                                (want.id, want.granted_w.to_bits(), want.capped),
+                                "n {n}, classes {classes:?}, budget {budget}"
+                            );
+                        }
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, (4 * 8 + 1) * 7 * 6);
+    }
+
+    #[test]
+    fn class_walk_matches_the_sorted_reference_on_signed_zeros() {
+        // `floor_w = 0.0, demand_w = -0.0` passes validation and has
+        // headroom -0.0, where the sign of an empty or all-zero sum
+        // shows.
+        let rows = [(0.0, -0.0), (-0.0, -0.0), (-0.0, 0.0), (0.0, 0.0)];
+        let mut out = Vec::new();
+        for class in [Priority::Batch, Priority::Normal, Priority::Critical] {
+            for n in 1..=rows.len() {
+                let requests: Vec<PowerRequest> = rows[..n]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(floor, demand))| req(i as u64, class, floor, demand))
+                    .collect();
+                for budget in [0.0, -0.0, 1.0] {
+                    PowerAllocator::new(budget)
+                        .try_allocate_into(&requests, &mut AllocScratch, &mut out)
+                        .unwrap();
+                    let got: Vec<_> = out
+                        .iter()
+                        .map(|g| (g.granted_w.to_bits(), g.capped))
+                        .collect();
+                    let want: Vec<_> = sorted_reference(budget, &requests)
+                        .iter()
+                        .map(|g| (g.granted_w.to_bits(), g.capped))
+                        .collect();
+                    assert_eq!(got, want, "{class:?}, {n} rows, budget {budget}");
+                }
+            }
+        }
+    }
 
     fn req(id: u64, priority: Priority, floor: f64, demand: f64) -> PowerRequest {
         PowerRequest {

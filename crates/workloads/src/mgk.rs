@@ -515,14 +515,13 @@ impl ClientServerSim {
     }
 
     /// Deactivates a VM: it stops receiving new requests and drains its
-    /// queue. Returns `false` if the VM was already inactive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a valid VM.
+    /// queue. Returns `true` if the VM was serving, `false` if it was
+    /// already inactive or `id` is at or past [`vm_count`](Self::vm_count).
     pub fn remove_vm(&mut self, id: VmId) -> bool {
-        let was_active = self.inner.vms[id].active;
-        self.inner.vms[id].active = false;
+        let Some(vm) = self.inner.vms.get_mut(id) else {
+            return false;
+        };
+        let was_active = std::mem::replace(&mut vm.active, false);
         if was_active {
             // `active_ids` is ascending, so the slot is found by binary
             // search; removal preserves the order.
@@ -614,13 +613,18 @@ impl ClientServerSim {
     ///
     /// # Panics
     ///
-    /// Panics if the ratio is not strictly positive or `id` is invalid.
+    /// Panics if the ratio is not strictly positive, or if `id` is at or
+    /// past [`vm_count`](Self::vm_count).
     pub fn set_freq_ratio(&mut self, id: VmId, ratio: f64) {
         assert!(ratio > 0.0 && ratio.is_finite(), "invalid ratio {ratio}");
         self.inner.vms[id].freq_ratio = ratio;
     }
 
     /// A VM's current frequency ratio.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is at or past [`vm_count`](Self::vm_count).
     pub fn freq_ratio(&self, id: VmId) -> f64 {
         self.inner.vms[id].freq_ratio
     }
@@ -629,7 +633,8 @@ impl ClientServerSim {
     ///
     /// # Panics
     ///
-    /// Panics if the share is outside `(0, 1]`.
+    /// Panics if the share is outside `(0, 1]`, or if `id` is at or past
+    /// [`vm_count`](Self::vm_count).
     pub fn set_share(&mut self, id: VmId, share: f64) {
         assert!(share > 0.0 && share <= 1.0, "invalid share {share}");
         self.inner.vms[id].share = share;
@@ -672,6 +677,10 @@ impl ClientServerSim {
     /// Snapshots a VM's aggregate Aperf/Pperf counters at the current
     /// time. Use [`ic_telemetry::counters::CounterSample::since`] between
     /// two snapshots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is at or past [`vm_count`](Self::vm_count).
     pub fn sample(&self, id: VmId) -> CounterSample {
         self.inner.vms[id].counters.sample(self.now().as_secs_f64())
     }
@@ -679,6 +688,10 @@ impl ClientServerSim {
     /// Busy-core utilization of a VM since an `earlier` snapshot, in
     /// `[0, 1]` (busy core-seconds over `vcores × wall`). Returns 0 for
     /// a zero-length interval.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is at or past [`vm_count`](Self::vm_count).
     pub fn utilization_since(&self, id: VmId, earlier: &CounterSample) -> f64 {
         let delta = self.sample(id).since(earlier);
         let wall = delta.d_wall_seconds();
@@ -705,16 +718,28 @@ impl ClientServerSim {
     }
 
     /// The number of requests queued (not yet in service) at a VM.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is at or past [`vm_count`](Self::vm_count).
     pub fn queue_depth(&self, id: VmId) -> usize {
         self.inner.vms[id].queue.len()
     }
 
     /// The number of virtual cores a VM has.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is at or past [`vm_count`](Self::vm_count).
     pub fn vcores(&self, id: VmId) -> u32 {
         self.inner.vms[id].vcores
     }
 
     /// The number of in-service requests at a VM.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is at or past [`vm_count`](Self::vm_count).
     pub fn in_service(&self, id: VmId) -> u32 {
         let now = self.inner.now.as_nanos();
         let c = self.inner.vcores_per_vm as usize;
@@ -1362,6 +1387,21 @@ mod tests {
             p95(&sim.take_completions())
         };
         assert!(run(4) < run(2));
+    }
+
+    #[test]
+    fn removing_a_vm_never_created_reports_not_serving() {
+        let mut sim = ClientServerSim::new(19, 0.01, 1.0, 2, 0.1);
+        assert!(!sim.remove_vm(0), "no VM yet");
+        let a = sim.add_vm();
+        for id in [a + 1, 7, usize::MAX] {
+            assert!(!sim.remove_vm(id), "id {id}");
+        }
+        assert_eq!(sim.active_ids(), &[a], "the live VM is untouched");
+        sim.set_qps(300.0);
+        sim.advance_to(SimTime::from_secs(5));
+        assert!(sim.completed_requests() > 0);
+        assert!(sim.remove_vm(a));
     }
 
     #[test]
