@@ -5,8 +5,11 @@
 //! [`ic_bench::check`].
 //!
 //! Flags:
+//!
+//! ```text
 //!   --baseline <file>  baseline snapshot (default: BENCH_sim.json)
-//!   --current <file>   snapshot to judge; `-` or omitted reads stdin
+//!   --current <file>   snapshot to judge; - or omitted reads stdin
+//! ```
 //!
 //! Exit status: 0 when every key is within tolerance, 1 on a
 //! regression, 2 on usage or I/O errors.

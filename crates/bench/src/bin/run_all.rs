@@ -1,9 +1,12 @@
-//! Runs every table and figure experiment in paper order.
+//! Runs every table and figure experiment in paper order, then the
+//! reproduction's own runs and ablations.
 //!
 //! Flags:
+//!
+//! ```text
 //!   --quick            shorten the simulation-backed experiments
 //!   --json             emit one JSONL record per experiment
-//!   --list             print `id  title` for every registered experiment
+//!   --list             print id and title of every registered experiment
 //!   --only <ids>       run only the comma-separated experiment ids
 //!   --scenario <file>  load the calibration scenario from a JSON file
 //!                      instead of the built-in paper scenario
@@ -12,8 +15,9 @@
 //!   --trace-out <file>    record a flight-recorder trace of the run;
 //!                         stdout is byte-identical to an untraced run
 //!                         and the self-time summary goes to stderr
-//!   --trace-format <fmt>  trace file format: `chrome` (default; load
-//!                         in Perfetto / chrome://tracing) or `jsonl`
+//!   --trace-format <fmt>  trace file format: chrome (default; load
+//!                         in Perfetto / chrome://tracing) or jsonl
+//! ```
 
 use ic_bench::registry::{self, Mode};
 use ic_obs::flight::shared_flight_from_env;

@@ -53,7 +53,7 @@ mod tests {
     fn json_report_covers_every_experiment() {
         let out = run_all_json(true);
         let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 27, "one record per experiment");
+        assert_eq!(lines.len(), 31, "one record per experiment");
         for line in &lines {
             assert!(line.starts_with("{\"id\":\""), "{line}");
             assert!(line.ends_with("]}"), "{line}");
@@ -69,6 +69,8 @@ mod tests {
             "composed",
             "composed_v2",
             "chaos",
+            "ablation_interference",
+            "ablation_packing",
         ] {
             assert!(
                 lines

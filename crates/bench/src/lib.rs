@@ -36,10 +36,13 @@
 //! | `composed`, `composed_v2` | Composed control plane — ASC + capping + governor + failover |
 //! | `fleet_scale` | Fleet-scale control plane — 100 / 1k / 10k power domains |
 //! | `chaos` | Chaos — wear-coupled faults and graceful degradation |
+//! | `ablation_interference` | Ablation — scale-out interference vs Table XI |
+//! | `ablation_policies` | Ablation — reactive vs predictive vs overclocking policies |
+//! | `ablation_lifetime` | Ablation — lifetime-model parameter sensitivity |
+//! | `ablation_packing` | Ablation — placement policy × oversubscription |
 //!
-//! The other binaries are `check` (the kernel-benchmark gate),
-//! `dump_scenario` (the paper scenario as JSON) and the four
-//! `ablation_*` studies, which are not registered experiments.
+//! The other binaries are `check` (the kernel-benchmark gate) and
+//! `dump_scenario` (the paper scenario as JSON).
 
 pub mod check;
 pub mod experiments;

@@ -9,7 +9,7 @@
 //! reassembles results in registration order so parallel runs are
 //! byte-identical to serial ones (modulo `wall_ms`).
 
-use crate::experiments::{chaos, composed, figures, fleet_scale, tables};
+use crate::experiments::{ablations, chaos, composed, figures, fleet_scale, tables};
 use crate::report::{ExperimentRecord, Metric};
 use ic_obs::flight::{FlightHandle, TraceLevel};
 use ic_par::ParPool;
@@ -181,10 +181,10 @@ impl Experiment for FnExperiment {
     }
 }
 
-/// All experiments in paper order, plus the composed control-plane
-/// run (not a paper artifact — the reproduction's own end-to-end
-/// demonstration, so it sits last).
-static REGISTRY: [FnExperiment; 27] = [
+/// All experiments in paper order, then the reproduction's own runs
+/// that are not paper artifacts: the composed control plane, fleet
+/// scale, chaos and the ablations.
+static REGISTRY: [FnExperiment; 31] = [
     FnExperiment {
         id: "table1",
         title: "Table I: cooling technologies",
@@ -378,6 +378,37 @@ static REGISTRY: [FnExperiment; 27] = [
         metrics: Some(|s, m| chaos::chaos_record(s.rng_stream, m.is_quick())),
         traced: Some(|s, m, f| chaos::chaos_record_traced(s.rng_stream, m.is_quick(), f)),
     },
+    // Ablations of the reproduction's own calibration knobs, appended so
+    // the first 27 ids keep their positions. Each renders the same text
+    // in both modes.
+    FnExperiment {
+        id: "ablation_interference",
+        title: "Ablation: scale-out interference vs Table XI shape",
+        render: |_, _| ablations::ablation_interference(),
+        metrics: None,
+        traced: None,
+    },
+    FnExperiment {
+        id: "ablation_policies",
+        title: "Ablation: reactive vs predictive vs overclocking policies",
+        render: |_, _| ablations::ablation_policies(),
+        metrics: None,
+        traced: None,
+    },
+    FnExperiment {
+        id: "ablation_lifetime",
+        title: "Ablation: lifetime-model parameter sensitivity",
+        render: |_, _| ablations::ablation_lifetime(),
+        metrics: None,
+        traced: None,
+    },
+    FnExperiment {
+        id: "ablation_packing",
+        title: "Ablation: placement policy x oversubscription (6 h heavy trace)",
+        render: |_, _| ablations::ablation_packing(),
+        metrics: None,
+        traced: None,
+    },
 ];
 
 /// The full registry in paper order.
@@ -518,7 +549,7 @@ mod tests {
     #[test]
     fn registry_ids_are_unique_and_in_paper_order() {
         let ids: Vec<&str> = REGISTRY.iter().map(|e| e.id).collect();
-        assert_eq!(ids.len(), 27);
+        assert_eq!(ids.len(), 31);
         let mut dedup = ids.clone();
         dedup.sort_unstable();
         dedup.dedup();
@@ -527,7 +558,8 @@ mod tests {
         // Every pre-versioning id keeps its position; v2 variants append.
         assert_eq!(ids[24], "fleet_scale");
         assert_eq!(ids[25], "composed_v2");
-        assert_eq!(ids.last(), Some(&"chaos"));
+        assert_eq!(ids[26], "chaos");
+        assert_eq!(ids.last(), Some(&"ablation_packing"));
     }
 
     #[test]

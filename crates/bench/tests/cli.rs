@@ -104,13 +104,30 @@ fn unknown_id_fails_with_diagnostic() {
 
 #[test]
 fn unreadable_scenario_fails_with_diagnostic() {
-    let out = run_all(&["--scenario", "/nonexistent/scenario.json"]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("cannot read scenario"),
-        "stderr was: {stderr}"
-    );
+    // Nesting this deep once overflowed the parser's stack and aborted
+    // the process; it must be an ordinary malformed-scenario error.
+    let dir = temp_dir("bad-scenario");
+    let arrays = dir.join("arrays.json");
+    std::fs::write(&arrays, "[".repeat(1_000_000)).expect("write scenario");
+    let objects = dir.join("objects.json");
+    std::fs::write(&objects, "{\"a\":".repeat(100_000)).expect("write scenario");
+    for (path, diagnostic) in [
+        (
+            PathBuf::from("/nonexistent/scenario.json"),
+            "cannot read scenario",
+        ),
+        (arrays, "nesting deeper than"),
+        (objects, "nesting deeper than"),
+    ] {
+        let out = run_all(&["--scenario", path.to_str().expect("utf-8 path")]);
+        assert_eq!(out.status.code(), Some(2), "{path:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(diagnostic),
+            "{path:?}: stderr was: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

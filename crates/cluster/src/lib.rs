@@ -12,9 +12,8 @@
 //!   configurable pcore oversubscription ratio,
 //! * [`cluster`] — the inventory: create/delete VMs, fail servers,
 //!   re-create displaced VMs, and measure packing density,
-//! * [`migration`] — a live-migration cost model (the paper's stop-gap
-//!   escape hatch when oversubscription plus overclocking is not
-//!   enough).
+//! * [`lifecycle`] — trace-driven VM arrivals and departures on the
+//!   discrete-event queue.
 //!
 //! # Example
 //!
@@ -37,7 +36,6 @@
 
 pub mod cluster;
 pub mod lifecycle;
-pub mod migration;
 pub mod placement;
 pub mod server;
 pub mod vm;

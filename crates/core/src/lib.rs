@@ -33,9 +33,7 @@
 
 pub mod bottleneck;
 pub mod domains;
-pub mod fleet;
 pub mod governor;
-pub mod recommend;
 pub mod usecases;
 
 pub use bottleneck::{BottleneckAnalysis, OverclockTarget};

@@ -1,7 +1,7 @@
 //! Memoized steady-state solves and precomputed operating-point tables.
 //!
 //! [`CpuSku::steady_state`] runs a 64-iteration power/temperature fixed
-//! point. Sweep-style callers — the RAPL settle loop, turbo-table
+//! point. Sweep-style callers — the fleet power plane, turbo-table
 //! derivation, the governor's ceiling searches — ask for the *same*
 //! handful of (frequency, voltage, interface) points thousands of
 //! times, so this module adds two complementary layers:

@@ -46,7 +46,6 @@ pub mod capping;
 pub mod cpu;
 pub mod hierarchy;
 pub mod leakage;
-pub mod rapl;
 pub mod server;
 pub mod turbo;
 pub mod units;

@@ -44,7 +44,6 @@
 //! assert!((years - 5.0).abs() < 0.3);
 //! ```
 
-pub mod fitting;
 pub mod hazard;
 pub mod lifetime;
 pub mod mechanisms;

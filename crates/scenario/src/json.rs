@@ -47,11 +47,18 @@ pub struct ParseError {
     pub message: String,
 }
 
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, so the limit keeps a hostile document from overflowing the
+/// stack; the paper scenario nests about six deep.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document (trailing whitespace allowed).
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -63,8 +70,11 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -109,8 +119,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(c @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if c == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.error(format!("unexpected character '{}'", c as char))),
             None => Err(self.error("unexpected end of input")),
@@ -125,7 +146,7 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number run");
+        let text = &self.src[start..self.pos];
         text.parse::<f64>().map(Json::Num).map_err(|_| ParseError {
             offset: start,
             message: format!("invalid number '{text}'"),
@@ -237,12 +258,14 @@ impl Parser<'_> {
                     return Err(self.error("unescaped control character in string"))
                 }
                 Some(_) => {
-                    // Consume one whole UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let ch = rest.chars().next().expect("non-empty by peek");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run up to the next quote, escape or control
+                    // byte. Those are ASCII, so the run ends on a char
+                    // boundary of the (already valid) input.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c >= 0x20 && c != b'"' && c != b'\\') {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }
@@ -255,9 +278,11 @@ impl Parser<'_> {
         if end > self.bytes.len() {
             return Err(self.error("truncated \\u escape"));
         }
-        let text = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.error("invalid \\u escape"))?;
-        let unit = u32::from_str_radix(text, 16).map_err(|_| self.error("invalid \\u escape"))?;
+        // Digit by digit: `u32::from_str_radix` would also take a sign.
+        let unit = self.bytes[self.pos..end]
+            .iter()
+            .try_fold(0, |acc, &b| Some((acc << 4) | char::from(b).to_digit(16)?))
+            .ok_or_else(|| self.error("invalid \\u escape"))?;
         self.pos = end;
         Ok(unit)
     }
@@ -399,9 +424,47 @@ mod tests {
 
     #[test]
     fn rejects_malformed_documents() {
-        for bad in ["", "{", "[1,]", "{\"a\":}", "1 2", "\"\u{0001}\"", "nul"] {
+        for bad in [
+            "",
+            "{",
+            "[1,]",
+            "{\"a\":}",
+            "1 2",
+            "\"\u{0001}\"",
+            "nul",
+            // `\u` takes exactly four hex digits, no sign.
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u04g1""#,
+            r#""\u00é""#,
+        ] {
             assert!(parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_limited_to_max_depth() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}0{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            assert!(parse(&nested(open, close, MAX_DEPTH)).is_ok());
+            let err = parse(&nested(open, close, MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.message.contains("nesting"), "{err:?}");
+            assert_eq!(err.offset, MAX_DEPTH * open.len());
+        }
+        // Far past the limit the parser still returns instead of
+        // overflowing the stack.
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
+    }
+
+    #[test]
+    fn long_multibyte_strings_round_trip() {
+        // 1 MiB of two-, three- and four-byte characters.
+        let text: String = "é€😀".repeat((1 << 20) / 9);
+        let original = Json::Str(text);
+        let written = to_pretty(&original);
+        assert_eq!(parse(written.trim()).unwrap(), original);
     }
 
     #[test]

@@ -29,8 +29,8 @@ fn splitmix64(state: &mut u64) -> u64 {
 ///   normal, single-log exponential). Every record the experiment
 ///   registry shipped before stream versioning exists was produced by
 ///   this version, and it stays byte-identical forever.
-/// * [`V2`](StreamVersion::V2) — the ziggurat fast path (see
-///   [`crate::zig`]): ~3 ns per standard normal/exponential draw
+/// * [`V2`](StreamVersion::V2) — the Marsaglia–Tsang ziggurat fast
+///   path: ~3 ns per standard normal/exponential draw
 ///   instead of ~28 ns, at the cost of a different (still
 ///   seed-deterministic) value sequence.
 ///
@@ -207,7 +207,7 @@ impl SimRng {
     }
 
     /// A standard normal sample: Box–Muller on v1 streams, the ziggurat
-    /// fast path (see [`crate::zig`]) on v2 streams.
+    /// fast path on v2 streams.
     #[inline]
     pub fn standard_normal(&mut self) -> f64 {
         match self.version {

@@ -30,8 +30,6 @@
 //! assert!((vcore - 0.87).abs() < 0.01); // −13 % per virtual core
 //! ```
 
-pub mod sensitivity;
-
 use serde::{Deserialize, Serialize};
 use std::fmt;
 

@@ -29,7 +29,7 @@ pub struct DielectricFluid {
     latent_heat_j_per_g: f64,
     useful_life_years: f64,
     /// Global-warming potential class; both paper fluids are high-GWP,
-    /// which motivates the vapor management in [`crate::environment`].
+    /// which is why 2PIC tanks must keep vapor losses low.
     high_gwp: bool,
 }
 

@@ -15,7 +15,8 @@
 //! * [`junction`] — the lumped thermal-resistance junction model used to
 //!   reproduce Table III and the temperature inputs of the lifetime model,
 //! * [`tank`] — the three tank prototypes of Section III,
-//! * [`environment`] — WUE and vapor-loss accounting (Takeaway 4).
+//! * [`transient`] — the lumped RC junction model behind Table V's
+//!   temperature swings.
 //!
 //! # Example
 //!
@@ -29,7 +30,6 @@
 //! assert!((tj - 68.0).abs() < 0.5);
 //! ```
 
-pub mod environment;
 pub mod fluid;
 pub mod junction;
 pub mod tank;
