@@ -66,7 +66,7 @@ use ic_power::units::Frequency;
 use ic_reliability::lifetime::{CompositeLifetimeModel, OperatingConditions};
 use ic_reliability::stability::StabilityModel;
 use ic_scenario::Scenario;
-use ic_sim::dist::DRAW_AHEAD_START;
+use ic_sim::dist::{DrawCounts, DRAW_AHEAD_START};
 use ic_sim::queue::EventQueue;
 use ic_sim::rng::{SimRng, StreamVersion};
 use ic_sim::time::{SimDuration, SimTime};
@@ -210,11 +210,13 @@ fn normal_ns_per_sample(batches: u32, version: StreamVersion) -> f64 {
 const MGK_LONG_SECS: u64 = 150;
 
 /// The M/G/k end-to-end bench. Returns `(best_secs, engine_events,
-/// boxed_events)` for one simulated run of `sim_secs` at 2000 QPS on
-/// 4 VMs under the given sampler stream version.
-fn mgk_measure(batches: u32, sim_secs: u64, version: StreamVersion) -> (f64, u64, u64) {
+/// boxed_events, draw_counts)` for one simulated run of `sim_secs` at
+/// 2000 QPS on 4 VMs under the given sampler stream version; the draw
+/// counts are the last run's.
+fn mgk_measure(batches: u32, sim_secs: u64, version: StreamVersion) -> (f64, u64, u64, DrawCounts) {
     let mut events = 0u64;
     let mut boxed = 0u64;
+    let mut draws = DrawCounts::default();
     let best = best_of(batches, 3, || {
         let mut sim = ClientServerSim::with_stream_version(1, 0.0028, 2.0, 4, 0.1, version);
         for _ in 0..4 {
@@ -224,9 +226,10 @@ fn mgk_measure(batches: u32, sim_secs: u64, version: StreamVersion) -> (f64, u64
         sim.advance_to(SimTime::from_secs(sim_secs));
         events = sim.events_processed();
         boxed = sim.boxed_events();
+        draws = sim.draw_counts();
         sim.completed_requests()
     });
-    (best, events, boxed)
+    (best, events, boxed, draws)
 }
 
 /// One auto-scaler decision window on the runner's world: the ASC alone
@@ -511,8 +514,8 @@ fn trajectory_once(quick: bool) -> Vec<(&'static str, f64)> {
     let engine_best = engine_iter_secs(batches);
     let (steady_eps, allocs_per_event) = engine_steady_state(if quick { 5 } else { 15 });
     let sim_secs = if quick { 3 } else { 10 };
-    let (mgk_best, mgk_events, mgk_boxed) = mgk_measure(batches, sim_secs, StreamVersion::V1);
-    let (mgk_best_v2, mgk_events_v2, _) = mgk_measure(batches, sim_secs, StreamVersion::V2);
+    let (mgk_best, mgk_events, mgk_boxed, _) = mgk_measure(batches, sim_secs, StreamVersion::V1);
+    let (mgk_best_v2, mgk_events_v2, _, _) = mgk_measure(batches, sim_secs, StreamVersion::V2);
     let mode = if quick { Mode::Quick } else { Mode::Full };
     let table11 = run_one("table11", &Scenario::paper(), mode).expect("table11 is registered");
     let sweep_rps = sweep_runs_per_sec(quick);
@@ -602,13 +605,13 @@ fn main() {
         "standard_normal_v2           {:>10.3} ns/sample",
         normal_ns_per_sample(5, StreamVersion::V2)
     );
-    let (mgk_best, mgk_events, mgk_boxed) = mgk_measure(5, 10, StreamVersion::V1);
+    let (mgk_best, mgk_events, mgk_boxed, _) = mgk_measure(5, 10, StreamVersion::V1);
     report("mgk_sim_10s_at_2000qps", mgk_best);
     println!(
         "mgk_throughput               {:>10.3} Mev/s  ({mgk_boxed} boxed of {mgk_events} events)",
         mgk_events as f64 / mgk_best / 1e6
     );
-    let (mgk_best_v2, mgk_events_v2, mgk_boxed_v2) = mgk_measure(5, 10, StreamVersion::V2);
+    let (mgk_best_v2, mgk_events_v2, mgk_boxed_v2, _) = mgk_measure(5, 10, StreamVersion::V2);
     println!(
         "mgk_throughput_v2            {:>10.3} Mev/s  ({mgk_boxed_v2} boxed of {mgk_events_v2} events)",
         mgk_events_v2 as f64 / mgk_best_v2 / 1e6
@@ -621,11 +624,14 @@ fn main() {
         ("mgk_long_throughput", StreamVersion::V1),
         ("mgk_long_throughput_v2", StreamVersion::V2),
     ] {
-        let (best, events, _) = mgk_measure(3, MGK_LONG_SECS, version);
+        let (best, events, _, draws) = mgk_measure(3, MGK_LONG_SECS, version);
         println!(
-            "{label:<28} {:>10.3} Mev/s  ({long_arrivals} arrivals; helper after {} values)",
+            "{label:<28} {:>10.3} Mev/s  ({long_arrivals} arrivals; helper after {} values; \
+             last run drew {} values from helper blocks, {} inline)",
             events as f64 / best / 1e6,
-            DRAW_AHEAD_START
+            DRAW_AHEAD_START,
+            draws.helper,
+            draws.inline
         );
     }
     bench_autoscaler_step();

@@ -38,6 +38,7 @@ use ic_reliability::lifetime::CompositeLifetimeModel;
 use ic_reliability::stability::StabilityModel;
 use ic_scenario::FaultConfig;
 use ic_sim::rng::StreamVersion;
+use ic_sim::stats::Tally;
 use ic_sim::time::{SimDuration, SimTime};
 use ic_thermal::fluid::DielectricFluid;
 use ic_thermal::junction::ThermalInterface;
@@ -375,17 +376,11 @@ pub(crate) fn composed_run_with(
 
     let end = SimTime::from_secs_f64(end_s);
     let mut world = plane.into_world();
-    // Latency stats straight off the completion log: the mean sums in
-    // completion order and the P95 is one nearest-rank quickselect —
-    // the exact values a `Tally` of the same stream reports, without
-    // pushing ~half a million samples through its record path.
     let completions = world.sim_mut().take_completions();
-    let mut latencies: Vec<f64> = completions.iter().map(|&(_, lat)| lat).collect();
+    let mut latencies: Tally = completions.iter().map(|&(_, lat)| lat).collect();
     assert!(!latencies.is_empty(), "composed run completed no requests");
-    let n = latencies.len();
-    let avg_latency_s = latencies.iter().sum::<f64>() / n as f64;
-    let rank = (((0.95 * n as f64).ceil() as usize).max(1) - 1).min(n - 1);
-    let (_, &mut p95_latency_s, _) = latencies.select_nth_unstable_by(rank, f64::total_cmp);
+    let avg_latency_s = latencies.mean();
+    let p95_latency_s = latencies.percentile(0.95);
     let snap = world.telemetry(end);
     let snap_cluster = snap.cluster.clone().expect("fleet models placement");
     let snap_faults = snap.faults.clone();

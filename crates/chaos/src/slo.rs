@@ -8,6 +8,8 @@
 //! log plus the world's fault accounting, and lands in the experiment
 //! record.
 
+use ic_sim::stats::Tally;
+
 /// Latency objectives, seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencySlo {
@@ -61,15 +63,14 @@ pub struct SloScorecard {
     pub p99_breach_min: f64,
 }
 
-/// Nearest-rank percentile; `q` in `(0, 1)`. Empty input reports 0.
-fn percentile(latencies: &mut [f64], q: f64) -> f64 {
+/// The nearest-rank `q`-quantile of `latencies`; an empty tally (a
+/// minute without completions) reports 0.
+fn percentile(latencies: &mut Tally, q: f64) -> f64 {
     if latencies.is_empty() {
-        return 0.0;
+        0.0
+    } else {
+        latencies.percentile(q)
     }
-    let n = latencies.len();
-    let rank = (((q * n as f64).ceil() as usize).max(1) - 1).min(n - 1);
-    let (_, &mut value, _) = latencies.select_nth_unstable_by(rank, f64::total_cmp);
-    value
 }
 
 impl SloScorecard {
@@ -78,16 +79,16 @@ impl SloScorecard {
     /// not counted as a breach (there is nothing to measure), which
     /// keeps the metric conservative.
     pub fn compute(inputs: &SloInputs<'_>, slo: &LatencySlo) -> Self {
-        let mut all: Vec<f64> = inputs.completions.iter().map(|&(_, lat)| lat).collect();
+        let mut all: Tally = inputs.completions.iter().map(|&(_, lat)| lat).collect();
         let p95_latency_s = percentile(&mut all, 0.95);
         let p99_latency_s = percentile(&mut all, 0.99);
 
         let minutes = (inputs.horizon_s / 60.0).ceil().max(0.0) as usize;
-        let mut buckets: Vec<Vec<f64>> = vec![Vec::new(); minutes];
+        let mut buckets: Vec<Tally> = vec![Tally::new(); minutes];
         for &(at_s, lat_s) in inputs.completions {
             let idx = ((at_s / 60.0) as usize).min(minutes.saturating_sub(1));
             if minutes > 0 {
-                buckets[idx].push(lat_s);
+                buckets[idx].record(lat_s);
             }
         }
         let mut p95_breach_min = 0.0;
@@ -178,10 +179,10 @@ mod tests {
 
     #[test]
     fn percentile_is_nearest_rank() {
-        let mut lat: Vec<f64> = (1..=100).map(|i| i as f64).collect();
+        let mut lat: Tally = (1..=100).map(|i| i as f64).collect();
         assert_eq!(percentile(&mut lat, 0.95), 95.0);
         assert_eq!(percentile(&mut lat, 0.99), 99.0);
-        let mut single = vec![4.2];
+        let mut single: Tally = [4.2].into_iter().collect();
         assert_eq!(percentile(&mut single, 0.95), 4.2);
     }
 

@@ -26,7 +26,7 @@ use std::fmt;
 
 mod ahead;
 
-pub use ahead::{draw_ahead_helpers, DrawAhead, Lane, DRAW_AHEAD_START};
+pub use ahead::{draw_ahead_helpers, DrawAhead, DrawCounts, Lane, DRAW_AHEAD_START};
 
 // ---------------------------------------------------------------------------
 // Shared transform helpers.

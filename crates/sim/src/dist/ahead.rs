@@ -105,6 +105,8 @@ struct Cursor {
     rng: SimRng,
     /// The index of the block after `buf`.
     next: u64,
+    /// Whether the helper filled `buf`.
+    from_helper: bool,
 }
 
 impl Cursor {
@@ -115,7 +117,23 @@ impl Cursor {
         self.lane.fill(&mut self.rng, &mut self.buf);
         self.pos = 0;
         self.next += 1;
+        self.from_helper = false;
     }
+
+    /// Values of `buf` not yet delivered.
+    fn left(&self) -> u64 {
+        (self.buf.len() - self.pos) as u64
+    }
+}
+
+/// Where the values a [`DrawAhead`] delivered came from.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DrawCounts {
+    /// Values delivered from blocks a helper filled.
+    pub helper: u64,
+    /// Values drawn on the consuming thread: blocks it filled itself and
+    /// one-at-a-time draws.
+    pub inline: u64,
 }
 
 /// A sampler's value lanes, filled ahead on a helper thread once the
@@ -151,6 +169,12 @@ pub struct DrawAhead {
     cursors: Vec<Cursor>,
     /// Values left to draw inline before the next try to start a helper.
     until_start: u64,
+    /// Values taken in helper-filled blocks, counted a block at a time.
+    from_helper: u64,
+    /// Values drawn inline and not counted by `until_start`'s countdown:
+    /// finished countdowns, draws past the countdown's end, and blocks
+    /// filled inline beside a helper.
+    inline: u64,
     helper: Option<Helper>,
     /// This draw-ahead's place in [`DRAWING`], from construction on.
     _drawing: Drawing,
@@ -168,6 +192,7 @@ impl fmt::Debug for DrawAhead {
         f.debug_struct("DrawAhead")
             .field("cursors", &self.cursors)
             .field("until_start", &self.until_start)
+            .field("counts", &self.counts())
             .field("helper", &self.helper.is_some())
             .finish()
     }
@@ -197,12 +222,15 @@ impl DrawAhead {
                     start: rng.clone(),
                     rng,
                     next: 0,
+                    from_helper: false,
                 }
             })
             .collect();
         DrawAhead {
             cursors,
             until_start: DRAW_AHEAD_START,
+            from_helper: 0,
+            inline: 0,
             helper: None,
             _drawing: Drawing::enter(),
             #[cfg(test)]
@@ -226,8 +254,9 @@ impl DrawAhead {
             // its block, if it has one, is used up, so `rng` is the live
             // generator.
             (Lane::Pairs(dist), None) => {
-                self.until_start = self.until_start.saturating_sub(1);
-                dist.sample(&mut c.rng)
+                let v = dist.sample(&mut c.rng);
+                self.count_inline(1);
+                v
             }
             _ => self.next_block(lane),
         }
@@ -257,13 +286,32 @@ impl DrawAhead {
         v
     }
 
+    /// Where the values delivered so far came from. The counts move a
+    /// block at a time (a one-at-a-time draw on a pairs lane moves the
+    /// inline count by one) and leave out the rest of the current
+    /// blocks, so they sum to the values delivered.
+    pub fn counts(&self) -> DrawCounts {
+        let mut counts = DrawCounts {
+            helper: self.from_helper,
+            inline: self.inline + (self.start_after() - self.until_start),
+        };
+        for c in &self.cursors {
+            if c.from_helper {
+                counts.helper -= c.left();
+            } else {
+                counts.inline -= c.left();
+            }
+        }
+        counts
+    }
+
     /// The first value of `lane`'s next block.
     fn next_block(&mut self, lane: usize) -> f64 {
         if self.helper.is_some() && oversubscribed() {
             // More threads want a core than there are: hand the
             // helper's back, and try again later.
             self.helper = None;
-            self.until_start = self.start_after();
+            self.restart_countdown();
             if let Lane::Pairs(_) = self.cursors[lane].lane {
                 return self.next(lane);
             }
@@ -277,8 +325,17 @@ impl DrawAhead {
     /// Counts `values` drawn inline; `true` once it is time to try to
     /// start a helper.
     fn count_inline(&mut self, values: u64) -> bool {
-        self.until_start = self.until_start.saturating_sub(values);
+        let counted = values.min(self.until_start);
+        self.until_start -= counted;
+        self.inline += values - counted;
         self.until_start == 0
+    }
+
+    /// Starts the countdown to the next try to start a helper, keeping
+    /// the values the last one counted.
+    fn restart_countdown(&mut self) {
+        self.inline += self.start_after() - self.until_start;
+        self.until_start = self.start_after();
     }
 
     /// Moves `lane` onto its next block: the helper's copy if it is
@@ -287,8 +344,8 @@ impl DrawAhead {
         let forced = self.forced(self.cursors[lane].next);
         let c = &mut self.cursors[lane];
         if let Some(helper) = &self.helper {
-            match forced {
-                None if helper.take(lane, c) => return,
+            let taken = match forced {
+                None => helper.take(lane, c),
                 Some(false) => {
                     let deadline = Instant::now() + Duration::from_secs(10);
                     while !helper.take(lane, c) {
@@ -299,16 +356,23 @@ impl DrawAhead {
                         );
                         std::thread::yield_now();
                     }
-                    return;
+                    true
                 }
-                _ => {}
+                Some(true) => false,
+            };
+            if taken {
+                self.from_helper += c.buf.len() as u64;
+                return;
             }
         }
         c.fill_inline();
+        let n = c.buf.len() as u64;
         match &self.helper {
-            Some(helper) => helper.skip(lane, c),
+            Some(helper) => {
+                helper.skip(lane, c);
+                self.inline += n;
+            }
             None => {
-                let n = c.buf.len() as u64;
                 if self.count_inline(n) {
                     self.try_start();
                 }
@@ -336,7 +400,14 @@ impl DrawAhead {
             rng
         };
         let v = live.standard_exp();
-        // The rest of the block belongs to the old alignment.
+        // The rest of the block belongs to the old alignment; it is
+        // never delivered.
+        if c.from_helper {
+            self.from_helper -= c.left();
+        } else {
+            self.inline -= c.left();
+        }
+        self.inline += 1;
         c.pos = c.buf.len();
         c.rng = live;
         if let Some(helper) = &self.helper {
@@ -348,7 +419,7 @@ impl DrawAhead {
     /// Starts a helper if a core is idle, else schedules another try.
     #[cold]
     fn try_start(&mut self) {
-        self.until_start = self.start_after();
+        self.restart_countdown();
         let Some(slot) = Slot::reserve() else {
             return;
         };
@@ -566,6 +637,7 @@ impl Helper {
         c.rng = block.end;
         c.pos = 0;
         c.next += 1;
+        c.from_helper = true;
         true
     }
 
@@ -883,6 +955,76 @@ mod tests {
             ahead.next(0);
         }
         assert_eq!(ahead.helper.is_some(), cores() > 1);
+    }
+
+    /// Asserts the counts sum to `drawn` and returns them.
+    fn counted(ahead: &DrawAhead, drawn: u64) -> DrawCounts {
+        let counts = ahead.counts();
+        assert_eq!(counts.helper + counts.inline, drawn, "{counts:?}");
+        counts
+    }
+
+    #[test]
+    fn fill_counts_sum_to_the_values_drawn() {
+        let _one = one_helper();
+        let pairs = DRAW_BUFFER_LEN as u64 / 2;
+        // Value lanes, first without a helper, then with one whose
+        // blocks alternate with inline ones.
+        for start_after in [DRAW_AHEAD_START, 600] {
+            let mut ahead = starting_after(
+                vec![
+                    (Lane::Values(UNIT_EXP), SimRng::seed_from_u64(1)),
+                    (Lane::Values(service()), SimRng::seed_from_u64(2)),
+                ],
+                start_after,
+            );
+            ahead.forced = Some(every_third);
+            let mut drawn = 0;
+            for i in 0..30 * DRAW_BUFFER_LEN {
+                ahead.next(i % 3 % 2);
+                drawn += 1;
+                if i % 997 == 0 {
+                    counted(&ahead, drawn);
+                }
+            }
+            let counts = counted(&ahead, drawn);
+            let helped = start_after == 600 && cores() > 1;
+            assert_eq!(counts.helper > 0, helped, "{counts:?}");
+            assert!(counts.inline > 0);
+        }
+        // A pairs lane: one-at-a-time draws, then blocks, with lone
+        // exponentials that drop the rest of a block.
+        for start_after in [DRAW_AHEAD_START, 600] {
+            let mut ahead = starting_after(
+                vec![(Lane::Pairs(service()), SimRng::seed_from_u64(3))],
+                start_after,
+            );
+            ahead.forced = Some(every_third);
+            let mut drawn = 0;
+            for i in 0..20 * pairs {
+                ahead.next(0);
+                ahead.next_exp(0);
+                drawn += 2;
+                if i % 301 == 0 {
+                    ahead.next_exp(0);
+                    drawn += 1;
+                    counted(&ahead, drawn);
+                }
+            }
+            let counts = counted(&ahead, drawn);
+            let helped = start_after == 600 && cores() > 1;
+            assert_eq!(counts.helper > 0, helped, "{counts:?}");
+            // Every core taken: the helper is handed back mid-run.
+            let busy: Vec<Drawing> = (0..cores()).map(|_| Drawing::enter()).collect();
+            for _ in 0..3 * pairs {
+                ahead.next(0);
+                ahead.next_exp(0);
+                drawn += 2;
+            }
+            assert!(ahead.helper.is_none());
+            drop(busy);
+            counted(&ahead, drawn);
+        }
     }
 
     #[test]

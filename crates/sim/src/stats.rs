@@ -2,8 +2,9 @@
 //!
 //! The evaluation section reports tail latencies (P95 for SQL and the
 //! client-server app, P99 for the key-value store), average and P99 power
-//! draws, and time-averaged CPU utilization. [`Tally`] collects samples and
-//! answers percentile queries; [`Welford`] maintains running mean/variance;
+//! draws, and time-averaged CPU utilization. [`Tally`] collects samples
+//! (request latencies in 4 bytes each) and answers exact nearest-rank
+//! percentile queries; [`Welford`] maintains running mean/variance;
 //! [`TimeWeighted`] computes time-weighted averages of step signals such as
 //! utilization and power; [`SlidingWindow`] provides the 30-second and
 //! 3-minute trailing averages the auto-scaler's control loop uses.
@@ -14,16 +15,21 @@ use serde::{Deserialize, Serialize};
 /// A sample collector with exact percentile queries.
 ///
 /// Stores all samples; suitable for simulation-scale data (millions of
-/// points). Percentiles use the nearest-rank method on the sorted data.
+/// points). Percentiles use the nearest-rank method in
+/// [`f64::total_cmp`] order.
 ///
-/// Queries never re-sort from scratch: the tally keeps a sorted prefix
-/// (`samples[..sorted_len]`) and an unsorted tail of recent records. A
-/// query merges a small tail into the prefix in O(n) through a reusable
-/// scratch buffer, and answers a large unsorted residue with quickselect
-/// (`select_nth_unstable`), promoting to a full sort only when repeated
-/// selections would cost more than sorting once. Monotone-ascending
-/// record streams (cumulative counters, sim-time series) keep the prefix
-/// sorted for free.
+/// A sample that is a whole number of nanoseconds below 2^32, expressed
+/// in seconds exactly as [`SimDuration::as_secs_f64`] does (`ns as f64 /
+/// 1e9`), is kept as that `u32` nanosecond count: every request latency
+/// an M/G/k completion log reports takes 4 bytes instead of 8. Anything
+/// else (negative values, `-0.0`, values of 4.29 s or more, values that
+/// are not such a quotient) is kept as an `f64`. The running sum is kept
+/// in record order, so [`mean`](Self::mean) is exactly the record-order
+/// sum over the count.
+///
+/// A percentile query selects in place over both stores (quickselect
+/// with pivots drawn from the larger store) without copying or sorting
+/// the samples.
 ///
 /// # Example
 ///
@@ -39,21 +45,27 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Tally {
-    samples: Vec<f64>,
-    /// `samples[..sorted_len]` is sorted ascending; everything after is
-    /// the unsorted tail recorded since the last merge.
-    sorted_len: usize,
+    /// Samples that are exact nanosecond counts, as those counts.
+    nanos: Vec<u32>,
+    /// Every other sample.
+    other: Vec<f64>,
     sum: f64,
-    /// Quickselect queries answered since the last merge; after a few,
-    /// one full sort is cheaper than more O(n) selections.
-    selects_since_merge: u32,
-    /// Reusable merge buffer (kept empty between queries).
-    scratch: Vec<f64>,
 }
 
-/// How many quickselect answers are tolerated before promoting the whole
-/// sample set to fully sorted.
-const TALLY_SELECT_PROMOTE: u32 = 3;
+/// `n` nanoseconds in seconds, as [`SimDuration::as_secs_f64`] computes it.
+#[inline]
+fn secs(n: u32) -> f64 {
+    n as f64 / 1e9
+}
+
+/// The nanosecond count `value` is the [`secs`] of, if any. A truncating
+/// cast, not [`f64::round`] (a libm call on baseline x86-64), keeps the
+/// record path cheap; the round trip decides.
+#[inline]
+fn nanos(value: f64) -> Option<u32> {
+    let n = (value * 1e9 + 0.5) as u32;
+    (secs(n).to_bits() == value.to_bits()).then_some(n)
+}
 
 impl Tally {
     /// Creates an empty tally.
@@ -66,48 +78,47 @@ impl Tally {
     /// # Panics
     ///
     /// Panics if `value` is not finite.
+    #[inline]
     pub fn record(&mut self, value: f64) {
         assert!(value.is_finite(), "cannot tally non-finite value {value}");
-        // An in-order append extends the sorted prefix instead of
-        // starting a tail.
-        if self.sorted_len == self.samples.len()
-            && self
-                .samples
-                .last()
-                .is_none_or(|last| last.total_cmp(&value) != std::cmp::Ordering::Greater)
-        {
-            self.sorted_len += 1;
+        match nanos(value) {
+            Some(n) => self.nanos.push(n),
+            None => self.other.push(value),
         }
-        self.samples.push(value);
         self.sum += value;
     }
 
     /// The number of recorded samples.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.nanos.len() + self.other.len()
     }
 
     /// `true` if no samples have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.len() == 0
     }
 
     /// The arithmetic mean, or 0 if empty.
     pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.is_empty() {
             0.0
         } else {
-            self.sum / self.samples.len() as f64
+            self.sum / self.len() as f64
         }
     }
 
-    /// The maximum sample, or 0 if empty.
+    /// The maximum sample, or 0 if empty or no sample is positive.
     pub fn max(&self) -> f64 {
-        self.samples
+        let other = self
+            .other
             .iter()
-            .copied()
-            .fold(f64::MIN, f64::max)
-            .max(0.0)
+            .fold(0.0, |max, &v| if v > max { v } else { max });
+        let nanos = self.nanos.iter().max().map_or(0.0, |&n| secs(n));
+        if nanos > other {
+            nanos
+        } else {
+            other
+        }
     }
 
     /// The `q`-quantile (e.g. `0.95` for P95) by nearest rank.
@@ -119,71 +130,81 @@ impl Tally {
     pub fn percentile(&mut self, q: f64) -> f64 {
         assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
         assert!(
-            !self.samples.is_empty(),
+            !self.is_empty(),
             "percentile query on an empty Tally — record at least one sample first"
         );
-        let n = self.samples.len();
+        let n = self.len();
         let rank = ((q * n as f64).ceil() as usize).max(1) - 1;
-        let rank = rank.min(n - 1);
-        let tail = n - self.sorted_len;
-        if tail == 0 {
-            return self.samples[rank];
-        }
-        if tail <= n / 8 + 16 || self.selects_since_merge >= TALLY_SELECT_PROMOTE {
-            self.merge_tail();
-            self.samples[rank]
-        } else {
-            self.selects_since_merge += 1;
-            let (_, v, _) = self.samples.select_nth_unstable_by(rank, f64::total_cmp);
-            let v = *v;
-            // Selection partitions the whole buffer; the prefix order is
-            // gone.
-            self.sorted_len = 0;
-            v
-        }
-    }
-
-    /// Sorts the unsorted tail and merges it into the sorted prefix
-    /// through the scratch buffer; afterwards the whole sample set is
-    /// sorted.
-    fn merge_tail(&mut self) {
-        let n = self.samples.len();
-        self.samples[self.sorted_len..].sort_unstable_by(f64::total_cmp);
-        if self.sorted_len > 0 && self.sorted_len < n {
-            self.scratch.clear();
-            self.scratch.reserve(n);
-            let (a, b) = self.samples.split_at(self.sorted_len);
-            let (mut i, mut j) = (0, 0);
-            while i < a.len() && j < b.len() {
-                if b[j].total_cmp(&a[i]) == std::cmp::Ordering::Less {
-                    self.scratch.push(b[j]);
-                    j += 1;
-                } else {
-                    self.scratch.push(a[i]);
-                    i += 1;
-                }
-            }
-            self.scratch.extend_from_slice(&a[i..]);
-            self.scratch.extend_from_slice(&b[j..]);
-            std::mem::swap(&mut self.samples, &mut self.scratch);
-            self.scratch.clear();
-        }
-        self.sorted_len = n;
-        self.selects_since_merge = 0;
-    }
-
-    /// Immutable view of the raw samples (unsorted order is unspecified).
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
+        select(&mut self.nanos, &mut self.other, rank.min(n - 1))
     }
 
     /// Removes all samples.
     pub fn clear(&mut self) {
-        self.samples.clear();
+        self.nanos.clear();
+        self.other.clear();
         self.sum = 0.0;
-        self.sorted_len = 0;
-        self.selects_since_merge = 0;
     }
+}
+
+/// The `rank`-th smallest (from 0, in [`f64::total_cmp`] order) of the
+/// union of `nanos` (as [`secs`]) and `other`, found by quickselect over
+/// both slices in place.
+///
+/// Each round selects a pivot in the larger slice, at the rank's share
+/// of it, and partitions the other slice around the pivot's value. No
+/// sample of one slice equals one of the other (a value that is the
+/// `secs` of a count is always stored as that count), so the pivot's
+/// rank in the union is the sum of the two split points.
+fn select(mut nanos: &mut [u32], mut other: &mut [f64], mut rank: usize) -> f64 {
+    loop {
+        if other.is_empty() {
+            return secs(*nanos.select_nth_unstable(rank).1);
+        }
+        if nanos.is_empty() {
+            return *other.select_nth_unstable_by(rank, f64::total_cmp).1;
+        }
+        let total = (nanos.len() + other.len()) as u128;
+        let share = |len: usize| (rank as u128 * len as u128 / total) as usize;
+        let from_nanos = nanos.len() >= other.len();
+        let (pivot, in_nanos, in_other) = if from_nanos {
+            let at = share(nanos.len());
+            let pivot = secs(*nanos.select_nth_unstable(at).1);
+            let below = partition(other, |v| v.total_cmp(&pivot).is_lt());
+            (pivot, at, below)
+        } else {
+            let at = share(other.len());
+            let pivot = *other.select_nth_unstable_by(at, f64::total_cmp).1;
+            let below = partition(nanos, |n| secs(n).total_cmp(&pivot).is_lt());
+            (pivot, below, at)
+        };
+        // `in_nanos + in_other` samples sort before the pivot.
+        let before = in_nanos + in_other;
+        if rank == before {
+            return pivot;
+        }
+        if rank < before {
+            nanos = &mut nanos[..in_nanos];
+            other = &mut other[..in_other];
+        } else {
+            rank -= before + 1;
+            let (skip_nanos, skip_other) = if from_nanos { (1, 0) } else { (0, 1) };
+            nanos = &mut nanos[in_nanos + skip_nanos..];
+            other = &mut other[in_other + skip_other..];
+        }
+    }
+}
+
+/// Moves the elements of `v` for which `below` holds to its front and
+/// returns how many there are.
+fn partition<T: Copy>(v: &mut [T], below: impl Fn(T) -> bool) -> usize {
+    let mut split = 0;
+    for i in 0..v.len() {
+        if below(v[i]) {
+            v.swap(split, i);
+            split += 1;
+        }
+    }
+    split
 }
 
 impl Extend<f64> for Tally {
@@ -553,6 +574,230 @@ mod tests {
                 assert_eq!(t.len(), reference.len());
             }
         }
+    }
+
+    /// The sorted-prefix `Tally` that kept every sample as an `f64`: the
+    /// oracle for the two-store representation.
+    mod reference {
+        #[derive(Debug, Default)]
+        pub struct Tally {
+            samples: Vec<f64>,
+            sorted_len: usize,
+            sum: f64,
+            selects_since_merge: u32,
+            scratch: Vec<f64>,
+        }
+
+        const TALLY_SELECT_PROMOTE: u32 = 3;
+
+        impl Tally {
+            pub fn record(&mut self, value: f64) {
+                assert!(value.is_finite(), "cannot tally non-finite value {value}");
+                if self.sorted_len == self.samples.len()
+                    && self
+                        .samples
+                        .last()
+                        .is_none_or(|last| last.total_cmp(&value) != std::cmp::Ordering::Greater)
+                {
+                    self.sorted_len += 1;
+                }
+                self.samples.push(value);
+                self.sum += value;
+            }
+
+            pub fn len(&self) -> usize {
+                self.samples.len()
+            }
+
+            pub fn mean(&self) -> f64 {
+                if self.samples.is_empty() {
+                    0.0
+                } else {
+                    self.sum / self.samples.len() as f64
+                }
+            }
+
+            pub fn max(&self) -> f64 {
+                self.samples
+                    .iter()
+                    .copied()
+                    .fold(f64::MIN, f64::max)
+                    .max(0.0)
+            }
+
+            pub fn percentile(&mut self, q: f64) -> f64 {
+                assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
+                assert!(!self.samples.is_empty());
+                let n = self.samples.len();
+                let rank = ((q * n as f64).ceil() as usize).max(1) - 1;
+                let rank = rank.min(n - 1);
+                let tail = n - self.sorted_len;
+                if tail == 0 {
+                    return self.samples[rank];
+                }
+                if tail <= n / 8 + 16 || self.selects_since_merge >= TALLY_SELECT_PROMOTE {
+                    self.merge_tail();
+                    self.samples[rank]
+                } else {
+                    self.selects_since_merge += 1;
+                    let (_, v, _) = self.samples.select_nth_unstable_by(rank, f64::total_cmp);
+                    let v = *v;
+                    self.sorted_len = 0;
+                    v
+                }
+            }
+
+            fn merge_tail(&mut self) {
+                let n = self.samples.len();
+                self.samples[self.sorted_len..].sort_unstable_by(f64::total_cmp);
+                if self.sorted_len > 0 && self.sorted_len < n {
+                    self.scratch.clear();
+                    self.scratch.reserve(n);
+                    let (a, b) = self.samples.split_at(self.sorted_len);
+                    let (mut i, mut j) = (0, 0);
+                    while i < a.len() && j < b.len() {
+                        if b[j].total_cmp(&a[i]) == std::cmp::Ordering::Less {
+                            self.scratch.push(b[j]);
+                            j += 1;
+                        } else {
+                            self.scratch.push(a[i]);
+                            i += 1;
+                        }
+                    }
+                    self.scratch.extend_from_slice(&a[i..]);
+                    self.scratch.extend_from_slice(&b[j..]);
+                    std::mem::swap(&mut self.samples, &mut self.scratch);
+                    self.scratch.clear();
+                }
+                self.sorted_len = n;
+                self.selects_since_merge = 0;
+            }
+
+            pub fn clear(&mut self) {
+                self.samples.clear();
+                self.sum = 0.0;
+                self.sorted_len = 0;
+                self.selects_since_merge = 0;
+            }
+        }
+    }
+
+    /// One sample of a differential stream. `mix` weights the kinds: 0
+    /// is latencies only, 1 adds overload latencies past the `u32`
+    /// range, 2 draws every kind, 3 leaves out latencies.
+    fn mixed_sample(rng: &mut crate::rng::SimRng, mix: u64) -> f64 {
+        let kind = match mix {
+            0 => 0,
+            1 => [0, 0, 0, 1][rng.index(4)],
+            2 => rng.index(6),
+            _ => 1 + rng.index(5),
+        };
+        match kind {
+            // Latency-shaped: a whole number of nanoseconds, mostly
+            // milliseconds, up to the last count a `u32` holds.
+            0 => match rng.index(8) {
+                0 => SimDuration::from_nanos(u32::MAX as u64 - rng.index(3) as u64),
+                1 => SimDuration::from_nanos(rng.index(4) as u64),
+                2 => SimDuration::from_nanos(rng.next_u64() % (1 << 32)),
+                _ => SimDuration::from_nanos(rng.next_u64() % 50_000_000),
+            }
+            .as_secs_f64(),
+            // At or past 2^32 ns.
+            1 => SimDuration::from_nanos((1 << 32) + rng.next_u64() % (1 << 36)).as_secs_f64(),
+            // Signed zeros.
+            2 => [0.0, -0.0][rng.index(2)],
+            // Negative values, some of them negated latencies.
+            3 => match rng.index(2) {
+                0 => -SimDuration::from_nanos(rng.next_u64() % 50_000_000).as_secs_f64(),
+                _ => rng.uniform_range(-1e6, 0.0),
+            },
+            // In the `u32` range but no whole nanosecond count.
+            4 => match rng.index(3) {
+                0 => rng.uniform(),
+                1 => (rng.next_u64() % 1_000_000) as f64 * 1e-9 + 2.5e-10,
+                _ => rng.uniform_range(0.0, 4.3),
+            },
+            // Large values and a few repeats of one value.
+            _ => match rng.index(2) {
+                0 => rng.uniform_range(4.3, 1e12),
+                _ => 0.125,
+            },
+        }
+    }
+
+    fn assert_same(got: &mut Tally, want: &mut reference::Tally, q: f64, at: &str) {
+        assert_eq!(got.len(), want.len(), "{at}");
+        if want.len() > 0 {
+            let (g, w) = (got.percentile(q), want.percentile(q));
+            assert_eq!(g.to_bits(), w.to_bits(), "{at} q {q}: {g} != {w}");
+        }
+        assert_eq!(got.mean().to_bits(), want.mean().to_bits(), "{at} mean");
+        let (g, w) = (got.max(), want.max());
+        // `f64::max` may return either zero for `max(-0.0, 0.0)`, so the
+        // reference's maximum of samples none of which is positive is
+        // a zero of either sign; the two-store tally reports `+0.0`.
+        assert!(
+            g.to_bits() == w.to_bits() || (g == 0.0 && w == 0.0 && g.is_sign_positive()),
+            "{at} max {g} != {w}"
+        );
+    }
+
+    /// Differential test against the all-`f64` sorted-prefix tally:
+    /// seeded streams of every sample kind, records interleaved with
+    /// queries on the 0.00–1.00 grid and with `clear`, checked bitwise.
+    #[test]
+    fn tally_matches_the_all_f64_reference() {
+        use crate::rng::SimRng;
+        for seed in 0..32u64 {
+            let mix = seed % 4;
+            let mut rng = SimRng::seed_from_u64(1000 + seed);
+            let mut got = Tally::new();
+            let mut want = reference::Tally::default();
+            for step in 0..80 {
+                match rng.index(20) {
+                    0 => {
+                        got.clear();
+                        want.clear();
+                    }
+                    1 => {
+                        for i in 0..=100 {
+                            let at = format!("seed {seed} step {step} sweep");
+                            assert_same(&mut got, &mut want, i as f64 / 100.0, &at);
+                        }
+                    }
+                    _ => {
+                        let long = rng.chance(0.1);
+                        let burst = 1 + rng.index(if long { 400 } else { 24 });
+                        for _ in 0..burst {
+                            let v = mixed_sample(&mut rng, mix);
+                            got.record(v);
+                            want.record(v);
+                        }
+                        let q = rng.index(101) as f64 / 100.0;
+                        assert_same(&mut got, &mut want, q, &format!("seed {seed} step {step}"));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn latencies_are_stored_as_nanoseconds() {
+        let mut t = Tally::new();
+        for ns in [0, 1, 2_800_000, u32::MAX as u64] {
+            t.record(SimDuration::from_nanos(ns).as_secs_f64());
+        }
+        assert_eq!((t.nanos.len(), t.other.len()), (4, 0));
+        for v in [
+            -0.0,
+            -1e-9,
+            SimDuration::from_nanos(1 << 32).as_secs_f64(),
+            0.1 + 0.2,
+            2.5e-10,
+        ] {
+            t.record(v);
+        }
+        assert_eq!((t.nanos.len(), t.other.len()), (4, 5));
     }
 
     #[test]

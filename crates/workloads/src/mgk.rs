@@ -57,7 +57,7 @@
 //! which is why fixed-size sub-windows keep the arenas small without
 //! changing a single record.
 
-use ic_sim::dist::{DistKind, DrawAhead, Lane, LogNormal};
+use ic_sim::dist::{DistKind, DrawAhead, DrawCounts, Lane, LogNormal};
 use ic_sim::observe::{EngineObserver, EventRecord, UNLABELED_EVENT};
 use ic_sim::rng::{SimRng, StreamVersion};
 use ic_sim::time::{SimDuration, SimTime};
@@ -388,12 +388,13 @@ impl ClientServerSim {
     /// * `vcores_per_vm` — virtual cores per server VM (the paper's
     ///   Client-Server app uses 4).
     /// * `stall_fraction` — share of active cycles stalled, for the
-    ///   Aperf/Pperf counters (the Client-Server profile is ~0.1).
+    ///   Aperf/Pperf counters (the Client-Server profile is ~0.1);
+    ///   clamped to `[0, 1]`.
     ///
     /// # Panics
     ///
-    /// Panics if the service parameters are non-positive or
-    /// `vcores_per_vm` is zero.
+    /// Panics if the service parameters are non-positive,
+    /// `vcores_per_vm` is zero, or `stall_fraction` is NaN.
     pub fn new(
         seed: u64,
         service_mean_s: f64,
@@ -430,6 +431,9 @@ impl ClientServerSim {
         version: StreamVersion,
     ) -> Self {
         assert!(vcores_per_vm > 0, "VMs need at least one vcore");
+        // `clamp` passes NaN through, and the counters would only panic
+        // on it at the first completion.
+        assert!(!stall_fraction.is_nan(), "stall fraction is NaN");
         let service = DistKind::from(LogNormal::with_mean_scv(service_mean_s, service_scv));
         ClientServerSim {
             observer: None,
@@ -470,6 +474,15 @@ impl ClientServerSim {
     /// cost figure experiment reports cite alongside their results.
     pub fn events_processed(&self) -> u64 {
         self.inner.processed
+    }
+
+    /// Where the arrival and service variates drawn so far came from:
+    /// blocks a draw-ahead helper filled, or draws on this thread (see
+    /// [`DrawAhead::counts`]).
+    pub fn draw_counts(&self) -> DrawCounts {
+        match &self.inner.samplers {
+            Samplers::V1(ahead) | Samplers::V2(ahead) => ahead.counts(),
+        }
     }
 
     /// Events stored as boxed closures: always 0, because the kernel
@@ -1488,6 +1501,28 @@ mod tests {
         sim.advance_to(SimTime::from_secs(60));
         let delta = sim.sample(vm).since(&before);
         assert!((delta.productivity() - 0.75).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "stall fraction is NaN")]
+    fn nan_stall_fraction_is_rejected_at_construction() {
+        ClientServerSim::new(1, 0.0028, 1.5, 4, f64::NAN);
+    }
+
+    #[test]
+    fn out_of_range_stall_fractions_clamp() {
+        for (stall, productivity) in [(-0.5, 1.0), (1.5, 0.0)] {
+            let mut sim = ClientServerSim::new(1, 0.0028, 1.5, 4, stall);
+            let vm = sim.add_vm();
+            sim.set_qps(100.0);
+            let before = sim.sample(vm);
+            sim.advance_to(SimTime::from_secs(1));
+            let delta = sim.sample(vm).since(&before);
+            assert!(
+                (delta.productivity() - productivity).abs() < 1e-9,
+                "{stall}"
+            );
+        }
     }
 }
 
