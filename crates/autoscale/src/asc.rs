@@ -102,20 +102,22 @@ impl AutoScaler {
     /// scale-in, frequency change — is recorded as an instant with its
     /// Equation-1 inputs and outputs, and each decision step leaves a
     /// `Debug`-level instant, so scale decisions line up with engine
-    /// phases and runner windows in the exported trace. With a metrics
-    /// registry, it keeps decision counters
-    /// (`asc_decisions_total{kind}`), the active-VM and frequency-ratio
-    /// gauges, and a utilization histogram (`asc_step_util`).
+    /// phases and runner windows in the exported trace. Counting the
+    /// `asc/step`, `asc/scale_out` and `asc/scale_in` instants
+    /// ([`ic_obs::FlightRecorder::counts_by_kind`]) gives the run's
+    /// decision totals. Detached, no field list is built.
     pub fn attach_sinks(&mut self, sinks: ObsSinks) {
         self.sinks = sinks;
     }
 
+    /// Emits one auto-scaler instant; `fields` runs only when a flight
+    /// recorder is attached.
     fn emit(
         &self,
         now: SimTime,
         level: TraceLevel,
         kind: &'static str,
-        fields: Vec<(&'static str, Value)>,
+        fields: impl FnOnce() -> Vec<(&'static str, Value)>,
     ) {
         self.sinks.instant(now, "asc", level, kind, fields);
     }
@@ -292,17 +294,14 @@ impl Controller for AutoScaler {
                     latency,
                     interference: self.config.scale_out_interference,
                 });
-                self.emit(
-                    now,
-                    TraceLevel::Info,
-                    "scale_out",
+                self.emit(now, TraceLevel::Info, "scale_out", || {
                     vec![
                         ("out_signal", Value::F64(out_signal)),
                         ("threshold", Value::F64(self.config.scale_out_threshold)),
                         ("active_vms", Value::U64(active.len() as u64)),
                         ("latency_s", Value::F64(self.config.scale_out_latency_s)),
-                    ],
-                );
+                    ]
+                });
             } else if out_util < self.config.scale_in_threshold
                 && active.len() > self.config.min_vms
             {
@@ -314,17 +313,14 @@ impl Controller for AutoScaler {
                     scaled_in = true;
                     self.last_topology_change = Some(now);
                     self.reset_windows();
-                    self.emit(
-                        now,
-                        TraceLevel::Info,
-                        "scale_in",
+                    self.emit(now, TraceLevel::Info, "scale_in", || {
                         vec![
                             ("vm", Value::U64(vm)),
                             ("out_util", Value::F64(out_util)),
                             ("threshold", Value::F64(self.config.scale_in_threshold)),
                             ("active_vms", Value::U64((active.len() - 1) as u64)),
-                        ],
-                    );
+                        ]
+                    });
                 }
             }
         }
@@ -352,18 +348,15 @@ impl Controller for AutoScaler {
                 1.0,
             )
             .clamp(0.0, 1.0);
-            self.emit(
-                now,
-                TraceLevel::Info,
-                "freq_change",
+            self.emit(now, TraceLevel::Info, "freq_change", || {
                 vec![
                     ("old_ratio", Value::F64(self.current_ratio)),
                     ("new_ratio", Value::F64(new_ratio)),
                     ("up_util", Value::F64(up_util)),
                     ("productivity", Value::F64(productivity)),
                     ("util_at_base", Value::F64(util_at_base)),
-                ],
-            );
+                ]
+            });
             self.current_ratio = new_ratio;
             actions.push(Action::SetFrequency {
                 target: FreqTarget::Fleet,
@@ -381,10 +374,7 @@ impl Controller for AutoScaler {
             scaled_out,
             scaled_in,
         };
-        self.emit(
-            now,
-            TraceLevel::Debug,
-            "step",
+        self.emit(now, TraceLevel::Debug, "step", || {
             vec![
                 ("instant_util", Value::F64(step.instant_util)),
                 ("out_util", Value::F64(step.out_window_util)),
@@ -392,22 +382,8 @@ impl Controller for AutoScaler {
                 ("productivity", Value::F64(productivity)),
                 ("freq_ratio", Value::F64(step.freq_ratio)),
                 ("active_vms", Value::U64(step.active_vms as u64)),
-            ],
-        );
-        if let Some(metrics) = self.sinks.metrics() {
-            let mut m = metrics.borrow_mut();
-            m.counter_add("asc_decisions_total{step}", 1);
-            if step.scaled_out {
-                m.counter_add("asc_decisions_total{scale_out}", 1);
-            }
-            if step.scaled_in {
-                m.counter_add("asc_decisions_total{scale_in}", 1);
-            }
-            m.gauge_set("asc_active_vms", step.active_vms as f64);
-            m.gauge_set("asc_freq_ratio", step.freq_ratio);
-            m.register_histogram("asc_step_util", 1e-3, 1.25, 40);
-            m.histogram_record("asc_step_util", step.instant_util);
-        }
+            ]
+        });
         self.last_step = Some(step);
         actions
     }
@@ -427,16 +403,13 @@ impl Controller for AutoScaler {
                 // topology change can interleave while a creation is
                 // pending), so the post-maturation count is len + 1.
                 let active_vms = self.last_samples.len() as u64 + 1;
-                self.emit(
-                    now,
-                    TraceLevel::Info,
-                    "scale_out_complete",
+                self.emit(now, TraceLevel::Info, "scale_out_complete", || {
                     vec![
                         ("vm", Value::U64(*vm)),
                         ("active_vms", Value::U64(active_vms)),
                         ("freq_ratio", Value::F64(self.current_ratio)),
-                    ],
-                );
+                    ]
+                });
                 vec![
                     Action::SetFrequency {
                         target: FreqTarget::Vm(*vm),

@@ -310,10 +310,9 @@ impl Runner {
     /// [`EngineSpans`]) flushed each window onto their own tracks, and
     /// the auto-scaler's decision instants. All timestamps are
     /// simulation time, so same-seed runs export byte-identical traces.
-    /// With a metrics registry, the runner leaves
-    /// `runner_p95_latency_s`, `runner_vm_hours`, `runner_max_vms`, and
-    /// `runner_avg_power_w` gauges beside the auto-scaler's own
-    /// counters, so a summary can be printed from the registry alone.
+    /// The run's numbers come back in its [`RunResult`]; the recorder
+    /// carries the decisions behind them (see
+    /// [`AutoScaler::attach_sinks`]).
     pub fn with_sinks(mut self, sinks: ObsSinks) -> Self {
         self.sinks = sinks;
         self
@@ -369,7 +368,7 @@ impl Runner {
 
         let sim = plane.world().sim();
         let vm_hours = acc.vm_integral.average(end) * end.as_secs_f64() / 3600.0;
-        let result = RunResult {
+        RunResult {
             policy: self.policy.label(),
             // A run that completed nothing (zero load) reports 0, as
             // the mean does.
@@ -387,47 +386,33 @@ impl Runner {
             utilization: acc.util_series,
             frequency_pct: acc.freq_series,
             vm_count: acc.vm_series,
-        };
-        if let Some(metrics) = self.sinks.metrics() {
-            let mut m = metrics.borrow_mut();
-            m.gauge_set("runner_p95_latency_s", result.p95_latency_s);
-            m.gauge_set("runner_avg_latency_s", result.avg_latency_s);
-            m.gauge_set("runner_vm_hours", result.vm_hours);
-            m.gauge_set("runner_max_vms", result.max_vms as f64);
-            m.gauge_set("runner_avg_power_w", result.avg_power_w);
-            m.counter_add("runner_requests_completed", result.completed);
-            m.counter_add("runner_sim_events", result.sim_events);
         }
-        result
     }
-}
-
-/// Runs a batch of `(config, policy, seed)` experiments through the
-/// deterministic scatter-gather pool ([`ic_par::pool`]) and returns the
-/// results **in input order**. Each run is a pure function of its tuple
-/// (the whole simulation derives from the explicit seed), so the output
-/// is byte-identical for any `IC_PAR_WORKERS` setting. Metrics cannot
-/// be attached to batched runs; for flight-recorded batches see
-/// [`run_batch_traced`], and use [`Runner`] directly for fully
-/// instrumented single runs.
-pub fn run_batch(tasks: Vec<(RunnerConfig, Policy, u64)>) -> Vec<RunResult> {
-    ic_par::pool().scatter_gather(tasks, |_, (config, policy, seed)| {
-        Runner::new(config, policy, seed).run()
-    })
 }
 
 /// Ring capacity for each batched run's task-local flight recorder.
 const TASK_FLIGHT_CAPACITY: usize = 1 << 16;
 
-/// [`run_batch`] with flight recording: each run records into its own
-/// task-local recorder (see [`ic_par::ParPool::scatter_gather_traced`])
-/// and the finished recorders are absorbed into `flight` **in
-/// submission order**, labeled `<policy>#<seed>`, so the merged trace
-/// is byte-identical for any worker count.
-pub fn run_batch_traced(
+/// Runs a batch of `(config, policy, seed)` experiments through the
+/// deterministic scatter-gather pool ([`ic_par::pool`]) and returns the
+/// results **in input order**. Each run is a pure function of its tuple
+/// (the whole simulation derives from the explicit seed), so the output
+/// is byte-identical for any `IC_PAR_WORKERS` setting.
+///
+/// With `flight`, each run records into its own task-local recorder
+/// (see [`ic_par::ParPool::scatter_gather_traced`]) and the finished
+/// recorders are absorbed into `flight` **in submission order**,
+/// labeled `<policy>#<seed>`, so the merged trace is byte-identical for
+/// any worker count too. The results do not depend on `flight`.
+pub fn run_batch(
     tasks: Vec<(RunnerConfig, Policy, u64)>,
-    flight: &FlightHandle,
+    flight: Option<&FlightHandle>,
 ) -> Vec<RunResult> {
+    let Some(flight) = flight else {
+        return ic_par::pool().scatter_gather(tasks, |_, (config, policy, seed)| {
+            Runner::new(config, policy, seed).run()
+        });
+    };
     let labels: Vec<String> = tasks
         .iter()
         .map(|(_, policy, seed)| format!("{}#{}", policy.label(), seed))
@@ -470,36 +455,20 @@ pub fn sweep_asc_configs(
                 (cfg, policy, seed)
             })
             .collect(),
+        None,
     )
 }
 
 /// Runs all three Table XI policies on the same seed (in parallel, via
 /// [`run_batch`]) and returns `(baseline, oc_e, oc_a)`.
 pub fn table11_runs(config: RunnerConfig, seed: u64) -> (RunResult, RunResult, RunResult) {
-    let mut results = run_batch(vec![
-        (config.clone(), Policy::Baseline, seed),
-        (config.clone(), Policy::OcE, seed),
-        (config, Policy::OcA, seed),
-    ]);
-    let oc_a = results.pop().expect("three results");
-    let oc_e = results.pop().expect("three results");
-    let baseline = results.pop().expect("three results");
-    (baseline, oc_e, oc_a)
-}
-
-/// [`table11_runs`] with flight recording (see [`run_batch_traced`]).
-pub fn table11_runs_traced(
-    config: RunnerConfig,
-    seed: u64,
-    flight: &FlightHandle,
-) -> (RunResult, RunResult, RunResult) {
-    let mut results = run_batch_traced(
+    let mut results = run_batch(
         vec![
             (config.clone(), Policy::Baseline, seed),
             (config.clone(), Policy::OcE, seed),
             (config, Policy::OcA, seed),
         ],
-        flight,
+        None,
     );
     let oc_a = results.pop().expect("three results");
     let oc_e = results.pop().expect("three results");
@@ -580,7 +549,7 @@ mod tests {
             .cloned()
             .map(|(c, p, s)| Runner::new(c, p, s).run())
             .collect();
-        let batch = run_batch(tasks);
+        let batch = run_batch(tasks, None);
         assert_eq!(batch.len(), serial.len());
         for (a, b) in serial.iter().zip(&batch) {
             assert_eq!(a.policy, b.policy);

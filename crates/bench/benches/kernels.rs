@@ -42,7 +42,7 @@
 //! In `--quick` mode (what CI gates on) every key is the median of
 //! three full measurement passes, so a single noisy runner sample
 //! cannot move the gate.
-//! Floats are encoded with [`ic_obs::json::write_f64`] so equal
+//! Floats are encoded with [`ic_sim::json::write_f64`] so equal
 //! measurements encode identically.
 
 use ic_autoscale::asc::AutoScaler;
@@ -59,7 +59,6 @@ use ic_controlplane::{
     Action, ControlPlane, Controller, FleetConfigBuilder, FleetWorld, FreqTarget, Outcome, World,
 };
 use ic_core::governor::{GovernorConfig, OverclockGovernor};
-use ic_obs::json::{write_escaped, write_f64};
 use ic_power::capping::PowerAllocator;
 use ic_power::cpu::CpuSku;
 use ic_power::units::Frequency;
@@ -67,6 +66,7 @@ use ic_reliability::lifetime::{CompositeLifetimeModel, OperatingConditions};
 use ic_reliability::stability::StabilityModel;
 use ic_scenario::Scenario;
 use ic_sim::dist::{DrawCounts, DRAW_AHEAD_START};
+use ic_sim::json::{write_escaped, write_f64};
 use ic_sim::queue::EventQueue;
 use ic_sim::rng::{SimRng, StreamVersion};
 use ic_sim::time::{SimDuration, SimTime};
@@ -319,7 +319,7 @@ fn sweep_runs_per_sec(quick: bool) -> f64 {
         .collect();
     let n = tasks.len() as f64;
     let start = Instant::now();
-    black_box(run_batch(tasks));
+    black_box(run_batch(tasks, None));
     n / start.elapsed().as_secs_f64()
 }
 
@@ -415,7 +415,7 @@ fn chaos_events_per_sec(quick: bool) -> f64 {
     let mut best = 0.0f64;
     for _ in 0..3 {
         let start = Instant::now();
-        let (events, metrics) = chaos::chaos_record(StreamVersion::V1, quick);
+        let (events, metrics) = chaos::chaos_record(StreamVersion::V1, quick, None);
         let secs = start.elapsed().as_secs_f64();
         black_box(metrics);
         best = best.max(events as f64 / secs);
@@ -566,12 +566,12 @@ fn trajectory_once(quick: bool) -> Vec<(&'static str, f64)> {
 /// object (only the measurements themselves vary run to run).
 fn trajectory_json(quick: bool, metrics: &[(&'static str, f64)]) -> String {
     let mut out = String::from("{\"schema\":\"ic-bench/kernels/v7\",\"mode\":");
-    write_escaped(if quick { "quick" } else { "full" }, &mut out);
+    write_escaped(&mut out, if quick { "quick" } else { "full" });
     for (key, value) in metrics {
         out.push(',');
-        write_escaped(key, &mut out);
+        write_escaped(&mut out, key);
         out.push(':');
-        write_f64(*value, &mut out);
+        write_f64(&mut out, *value);
     }
     out.push('}');
     out

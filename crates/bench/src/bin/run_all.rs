@@ -112,7 +112,6 @@ fn run() -> Result<(), String> {
     let args = parse_args()?;
     if args.list {
         for exp in registry::registry() {
-            use ic_bench::registry::Experiment;
             println!("{:<8} {}", exp.id(), exp.title());
         }
         return Ok(());
@@ -132,11 +131,8 @@ fn run() -> Result<(), String> {
         .as_ref()
         .map(|_| shared_flight_from_env(TRACE_CAPACITY));
     if args.json {
-        let records = match &flight {
-            Some(flight) => registry::run_selected_traced(&scenario, mode, args.jobs, only, flight),
-            None => registry::run_selected(&scenario, mode, args.jobs, only),
-        }
-        .map_err(|e| e.to_string())?;
+        let records = registry::run_selected(&scenario, mode, args.jobs, only, flight.as_ref())
+            .map_err(|e| e.to_string())?;
         let mut out = String::new();
         for record in records {
             out.push_str(&record.to_json());
@@ -151,7 +147,7 @@ fn run() -> Result<(), String> {
         // instrumented measurement pass, so run it separately. stdout
         // stays byte-identical to an untraced run either way.
         if let Some(flight) = &flight {
-            registry::run_selected_traced(&scenario, mode, args.jobs, only, flight)
+            registry::run_selected(&scenario, mode, args.jobs, only, Some(flight))
                 .map_err(|e| e.to_string())?;
         }
     }

@@ -29,7 +29,7 @@
 //! the gate exists to catch order-of-magnitude regressions (a lost
 //! fast path, an accidental allocation per event), not 5% drift.
 
-use ic_scenario::json::{self, Json};
+use ic_sim::json::{self, Json};
 use std::fmt::Write as _;
 
 /// Multiplicative slack for throughput/latency keys: a run fails only

@@ -25,21 +25,26 @@ fn short_ramp() -> RunnerConfig {
 
 /// Sweeps the scale-out interference level: how much of the Table XI
 /// latency story comes from VM creation disturbing the serving VMs.
-pub fn ablation_interference() -> String {
+/// `quick` halves the ramp's step dwell.
+pub fn ablation_interference(quick: bool) -> String {
+    let mut ramp = short_ramp();
+    if quick {
+        ramp.schedule = ramp.schedule.iter().map(|&(t, q)| (t / 2.0, q)).collect();
+    }
     // The full 4 × 3 grid goes through the scatter-gather pool in one
     // fixed decomposition; results come back in grid order.
     let levels = [0.0, 0.16, 0.32, 0.40];
     let tasks: Vec<_> = levels
         .iter()
         .flat_map(|&interference| {
-            let mut cfg = short_ramp();
+            let mut cfg = ramp.clone();
             cfg.asc.scale_out_interference = interference;
             [Policy::Baseline, Policy::OcE, Policy::OcA]
                 .into_iter()
                 .map(move |policy| (cfg.clone(), policy, 42))
         })
         .collect();
-    let results = run_batch(tasks);
+    let results = run_batch(tasks, None);
     let mut rows = Vec::new();
     for (i, &interference) in levels.iter().enumerate() {
         let (base, oce, oca) = (&results[3 * i], &results[3 * i + 1], &results[3 * i + 2]);
@@ -76,6 +81,7 @@ pub fn ablation_policies() -> String {
         .into_iter()
         .map(|policy| (cfg.clone(), policy, 42))
         .collect(),
+        None,
     );
     // Baseline is task 0; it doubles as the normalization reference,
     // which the old serial version ran a fifth, redundant time.

@@ -209,22 +209,9 @@ pub fn chaos(version: StreamVersion, quick: bool) -> String {
     out
 }
 
-/// Structured record for `run_all --json`.
-pub fn chaos_record(version: StreamVersion, quick: bool) -> (u64, Vec<Metric>) {
-    chaos_record_with(version, quick, None)
-}
-
-/// [`chaos_record`] with flight recording; the record itself is
-/// byte-identical to the untraced one.
-pub fn chaos_record_traced(
-    version: StreamVersion,
-    quick: bool,
-    flight: &FlightHandle,
-) -> (u64, Vec<Metric>) {
-    chaos_record_with(version, quick, Some(flight))
-}
-
-fn chaos_record_with(
+/// Structured record for `run_all --json`. With `flight`, both runs
+/// record into it; the record is the same either way.
+pub fn chaos_record(
     version: StreamVersion,
     quick: bool,
     flight: Option<&FlightHandle>,
@@ -321,7 +308,7 @@ mod tests {
     fn zero_fault_path_matches_composed_record() {
         for version in [StreamVersion::V1, StreamVersion::V2] {
             let via_chaos_path = record_from_run(&composed_run_with(version, true, None, None));
-            assert_eq!(via_chaos_path, composed_record(version, true));
+            assert_eq!(via_chaos_path, composed_record(version, true, None));
         }
     }
 
@@ -362,16 +349,16 @@ mod tests {
 
     #[test]
     fn chaos_record_is_deterministic() {
-        let a = chaos_record(StreamVersion::V1, true);
-        let b = chaos_record(StreamVersion::V1, true);
+        let a = chaos_record(StreamVersion::V1, true, None);
+        let b = chaos_record(StreamVersion::V1, true, None);
         assert_eq!(a, b);
     }
 
     #[test]
     fn traced_record_matches_untraced() {
         let flight = ic_obs::flight::shared_flight(1 << 16);
-        let plain = chaos_record(StreamVersion::V1, true);
-        let traced = chaos_record_traced(StreamVersion::V1, true, &flight);
+        let plain = chaos_record(StreamVersion::V1, true, None);
+        let traced = chaos_record(StreamVersion::V1, true, Some(&flight));
         assert_eq!(plain, traced, "tracing must not change the record");
     }
 }

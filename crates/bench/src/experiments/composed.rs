@@ -486,23 +486,10 @@ pub fn composed(version: StreamVersion, quick: bool) -> String {
     out
 }
 
-/// Structured record for `run_all --json`.
-pub fn composed_record(version: StreamVersion, quick: bool) -> (u64, Vec<Metric>) {
-    composed_record_with(version, quick, None)
-}
-
-/// [`composed_record`] with flight recording: the control plane's tick
-/// instants and the ASC's decision events land in `flight`; the record
-/// itself is byte-identical to the untraced one.
-pub fn composed_record_traced(
-    version: StreamVersion,
-    quick: bool,
-    flight: &FlightHandle,
-) -> (u64, Vec<Metric>) {
-    composed_record_with(version, quick, Some(flight))
-}
-
-fn composed_record_with(
+/// Structured record for `run_all --json`. With `flight`, the control
+/// plane's tick instants and the ASC's decision events land in it; the
+/// record is the same either way.
+pub fn composed_record(
     version: StreamVersion,
     quick: bool,
     flight: Option<&FlightHandle>,
@@ -578,8 +565,8 @@ mod tests {
     #[test]
     fn traced_record_matches_untraced() {
         let flight = ic_obs::flight::shared_flight(1 << 16);
-        let plain = composed_record(StreamVersion::V1, true);
-        let traced = composed_record_traced(StreamVersion::V1, true, &flight);
+        let plain = composed_record(StreamVersion::V1, true, None);
+        let traced = composed_record(StreamVersion::V1, true, Some(&flight));
         assert_eq!(plain, traced, "tracing must not change the record");
         let rec = flight.borrow();
         assert!(rec.counts_by_kind().contains_key(&("controlplane", "tick")));

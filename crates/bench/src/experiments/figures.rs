@@ -1,8 +1,9 @@
 //! Figure regeneration (Figures 4–13, 15, 16).
 
+use super::{table11_policy_runs, TABLE11_POLICIES};
 use crate::{cell, table};
 use ic_autoscale::policy::Policy;
-use ic_autoscale::runner::{ramp_schedule, run_batch, run_batch_traced, Runner, RunnerConfig};
+use ic_autoscale::runner::{ramp_schedule, Runner, RunnerConfig};
 use ic_core::domains::OperatingDomains;
 use ic_core::usecases::buffer::{static_buffer_servers, virtual_buffer_servers};
 use ic_core::usecases::capacity::{CapacitySnapshot, CapacityTimeline};
@@ -186,42 +187,16 @@ pub fn fig7() -> String {
 }
 
 /// Figure 8: the scale-up-then-out timeline — OC-E hides the scale-out
-/// latency, OC-A postpones the scale-out.
-pub fn fig8(quick: bool) -> String {
-    fig8_with(quick, None)
-}
-
-/// [`fig8`] with flight recording: the three policy runs record into
-/// `flight` (submission order, see
-/// [`ic_autoscale::runner::run_batch_traced`]); the rendered figure is
-/// byte-identical to the untraced one. Returns the default line-count
-/// record so traced and untraced `run_all` reports match.
-pub fn fig8_traced(quick: bool, flight: &FlightHandle) -> (u64, Vec<crate::report::Metric>) {
-    let out = fig8_with(quick, Some(flight));
-    (
-        0,
-        vec![crate::report::Metric::new(
-            "output_lines",
-            "count",
-            out.lines().count() as f64,
-        )],
-    )
-}
-
-fn fig8_with(quick: bool, flight: Option<&FlightHandle>) -> String {
+/// latency, OC-A postpones the scale-out. With `flight`, the three
+/// policy runs record into it (submission order, see
+/// [`ic_autoscale::runner::run_batch`]); the figure is the same either
+/// way.
+pub fn fig8(quick: bool, flight: Option<&FlightHandle>) -> String {
     let mut config = RunnerConfig::paper();
     config.schedule = vec![(0.0, 500.0), (300.0, if quick { 900.0 } else { 1000.0 })];
     config.tail_s = 300.0;
     let mut out = String::from("== Figure 8: hiding vs avoiding the scale-out ==\n");
-    let tasks: Vec<_> = [Policy::Baseline, Policy::OcE, Policy::OcA]
-        .into_iter()
-        .map(|policy| (config.clone(), policy, 42))
-        .collect();
-    let results = match flight {
-        Some(flight) => run_batch_traced(tasks, flight),
-        None => run_batch(tasks),
-    };
-    for r in results {
+    for r in table11_policy_runs(&config, flight) {
         let f_peak = r.frequency_pct.max().unwrap_or(0.0);
         let final_vms = r.vm_count.points().last().map(|&(_, v)| v).unwrap_or(0.0);
         out.push_str(&format!(
@@ -477,7 +452,7 @@ pub fn fig14() -> String {
 /// Figure 15: Equation 1 validation — utilization and frequency over
 /// the 1000/2000/500/3000/1000 QPS schedule with scale-up/down only.
 pub fn fig15(quick: bool) -> String {
-    let r = fig15_run(quick);
+    let r = fig15_run(quick, None);
     let mut out = String::from("== Figure 15: model validation (3 VMs, scale-up/down only) ==\n");
     out.push_str("time_s,util_pct,freq_pct_of_range\n");
     let step = ic_sim::SimDuration::from_secs(if quick { 30 } else { 60 });
@@ -501,16 +476,10 @@ pub fn fig16(quick: bool) -> String {
     if quick {
         config.schedule = ramp_schedule(500.0, 2500.0, 500.0, 300.0);
     }
-    let policies = [Policy::Baseline, Policy::OcE, Policy::OcA];
-    let results = run_batch(
-        policies
-            .into_iter()
-            .map(|policy| (config.clone(), policy, 42))
-            .collect(),
-    );
+    let results = table11_policy_runs(&config, None);
     let mut series = Vec::new();
     let mut summary = String::new();
-    for (policy, r) in policies.into_iter().zip(results) {
+    for (policy, r) in TABLE11_POLICIES.into_iter().zip(results) {
         let mut s = ic_sim::series::TimeSeries::new(match policy {
             Policy::Baseline => "baseline_util",
             Policy::OcE => "oce_util",
@@ -546,12 +515,10 @@ pub fn fig16(quick: bool) -> String {
 }
 
 /// Runs the Figure 15 validation scenario (OC-A on the
-/// 1000/2000/500/3000/1000 QPS schedule; `quick` halves the dwell).
-fn fig15_run(quick: bool) -> ic_autoscale::runner::RunResult {
-    fig15_run_with(quick, None)
-}
-
-fn fig15_run_with(quick: bool, flight: Option<&FlightHandle>) -> ic_autoscale::runner::RunResult {
+/// 1000/2000/500/3000/1000 QPS schedule; `quick` halves the dwell),
+/// recording its windows, engine phases and frequency decisions into
+/// `flight` when given (single run — no batch merge involved).
+fn fig15_run(quick: bool, flight: Option<&FlightHandle>) -> ic_autoscale::runner::RunResult {
     let mut config = RunnerConfig::validation();
     if quick {
         // Halve the dwell to 2.5 minutes.
@@ -568,7 +535,7 @@ fn fig15_run_with(quick: bool, flight: Option<&FlightHandle>) -> ic_autoscale::r
 /// frequency *increase* inside a constant-load phase, utilization must
 /// not rise afterwards.
 pub fn fig15_validates(quick: bool) -> bool {
-    fig15_invariant_holds(&fig15_run(quick))
+    fig15_invariant_holds(&fig15_run(quick, None))
 }
 
 fn fig15_invariant_holds(r: &ic_autoscale::runner::RunResult) -> bool {
@@ -593,27 +560,15 @@ fn fig15_invariant_holds(r: &ic_autoscale::runner::RunResult) -> bool {
 }
 
 /// Structured Figure 15 record: Equation 1 validation outcome plus the
-/// run's simulation-event count, for `run_all --json`.
-pub fn fig15_record(quick: bool) -> (u64, Vec<crate::report::Metric>) {
-    fig15_record_with(quick, None)
-}
-
-/// [`fig15_record`] with flight recording: the validation run records
-/// its windows, engine phases, and frequency decisions into `flight`
-/// directly (single run — no batch merge involved).
-pub fn fig15_record_traced(
-    quick: bool,
-    flight: &FlightHandle,
-) -> (u64, Vec<crate::report::Metric>) {
-    fig15_record_with(quick, Some(flight))
-}
-
-fn fig15_record_with(
+/// run's simulation-event count, for `run_all --json`; with `flight`,
+/// the validation run records its windows, engine phases and frequency
+/// decisions into it.
+pub fn fig15_record(
     quick: bool,
     flight: Option<&FlightHandle>,
 ) -> (u64, Vec<crate::report::Metric>) {
     use crate::report::Metric;
-    let r = fig15_run_with(quick, flight);
+    let r = fig15_run(quick, flight);
     let holds = fig15_invariant_holds(&r);
     let metrics = vec![
         Metric::with_paper(
@@ -633,21 +588,8 @@ fn fig15_record_with(
 
 /// Structured Figure 16 record: peak utilization and VM footprint per
 /// policy plus the combined simulation-event count, for
-/// `run_all --json`.
-pub fn fig16_record(quick: bool) -> (u64, Vec<crate::report::Metric>) {
-    fig16_record_with(quick, None)
-}
-
-/// [`fig16_record`] with flight recording (see
-/// [`ic_autoscale::runner::run_batch_traced`]).
-pub fn fig16_record_traced(
-    quick: bool,
-    flight: &FlightHandle,
-) -> (u64, Vec<crate::report::Metric>) {
-    fig16_record_with(quick, Some(flight))
-}
-
-fn fig16_record_with(
+/// `run_all --json`; with `flight`, the three runs record into it.
+pub fn fig16_record(
     quick: bool,
     flight: Option<&FlightHandle>,
 ) -> (u64, Vec<crate::report::Metric>) {
@@ -658,15 +600,7 @@ fn fig16_record_with(
     }
     let mut sim_events = 0;
     let mut metrics = Vec::new();
-    let tasks: Vec<_> = [Policy::Baseline, Policy::OcE, Policy::OcA]
-        .into_iter()
-        .map(|policy| (config.clone(), policy, 42))
-        .collect();
-    let results = match flight {
-        Some(flight) => run_batch_traced(tasks, flight),
-        None => run_batch(tasks),
-    };
-    for r in results {
+    for r in table11_policy_runs(&config, flight) {
         sim_events += r.sim_events;
         metrics.push(Metric::new(
             format!("peak_util_pct[{}]", r.policy),

@@ -253,19 +253,9 @@ pub fn fleet_scale(quick: bool) -> String {
     out
 }
 
-/// Structured record for `run_all --json`.
-pub fn fleet_scale_record(quick: bool) -> (u64, Vec<Metric>) {
-    fleet_scale_record_with(quick, None)
-}
-
-/// [`fleet_scale_record`] with flight recording: the control plane's
-/// tick instants land in `flight`; the record itself is byte-identical
-/// to the untraced one.
-pub fn fleet_scale_record_traced(quick: bool, flight: &FlightHandle) -> (u64, Vec<Metric>) {
-    fleet_scale_record_with(quick, Some(flight))
-}
-
-fn fleet_scale_record_with(quick: bool, flight: Option<&FlightHandle>) -> (u64, Vec<Metric>) {
+/// Structured record for `run_all --json`. With `flight`, the control
+/// plane's tick instants land in it; the record is the same either way.
+pub fn fleet_scale_record(quick: bool, flight: Option<&FlightHandle>) -> (u64, Vec<Metric>) {
     let runs = sweep(quick, flight);
     let mut metrics = Vec::new();
     let mut sim_events = 0;
@@ -358,8 +348,8 @@ mod tests {
     #[test]
     fn traced_record_matches_untraced() {
         let flight = ic_obs::flight::shared_flight(1 << 16);
-        let plain = fleet_scale_record(true);
-        let traced = fleet_scale_record_traced(true, &flight);
+        let plain = fleet_scale_record(true, None);
+        let traced = fleet_scale_record(true, Some(&flight));
         assert_eq!(plain, traced, "tracing must not change the record");
         let rec = flight.borrow();
         assert!(rec.counts_by_kind().contains_key(&("controlplane", "tick")));

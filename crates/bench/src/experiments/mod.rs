@@ -8,7 +8,26 @@ pub mod fleet_scale;
 pub mod tables;
 
 use crate::registry::{render_selected, run_selected, Mode};
+use ic_autoscale::policy::Policy;
+use ic_autoscale::runner::{run_batch, RunResult, RunnerConfig};
+use ic_obs::flight::FlightHandle;
 use ic_scenario::Scenario;
+
+/// The three Table XI policies, in the paper's column order.
+const TABLE11_POLICIES: [Policy; 3] = [Policy::Baseline, Policy::OcE, Policy::OcA];
+
+/// Runs `config` under each of [`TABLE11_POLICIES`] at seed 42 through
+/// [`run_batch`] (recording onto `flight` when given) and returns the
+/// results in policy order.
+fn table11_policy_runs(config: &RunnerConfig, flight: Option<&FlightHandle>) -> [RunResult; 3] {
+    let tasks = TABLE11_POLICIES
+        .into_iter()
+        .map(|policy| (config.clone(), policy, 42))
+        .collect();
+    run_batch(tasks, flight)
+        .try_into()
+        .expect("one result per policy")
+}
 
 fn mode_for(quick: bool) -> Mode {
     if quick {
@@ -35,7 +54,7 @@ pub fn run_all(quick: bool) -> String {
 /// Experiments the paper reports numbers for carry paper-vs-measured
 /// metric pairs.
 pub fn run_all_json(quick: bool) -> String {
-    let records = run_selected(&Scenario::paper(), mode_for(quick), 1, None)
+    let records = run_selected(&Scenario::paper(), mode_for(quick), 1, None, None)
         .expect("the unfiltered selection always resolves");
     let mut out = String::new();
     for record in records {

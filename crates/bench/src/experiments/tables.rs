@@ -1,7 +1,8 @@
 //! Table regeneration (Tables I–IX and XI).
 
+use super::table11_policy_runs;
 use crate::{cell, table};
-use ic_autoscale::runner::{ramp_schedule, table11_runs, table11_runs_traced, RunnerConfig};
+use ic_autoscale::runner::{ramp_schedule, RunnerConfig};
 use ic_obs::flight::FlightHandle;
 use ic_power::cpu::CpuSku;
 use ic_reliability::lifetime::{table5_rows_from, CompositeLifetimeModel};
@@ -272,7 +273,7 @@ pub fn table11(quick: bool) -> String {
     if quick {
         config.schedule = ramp_schedule(500.0, 2500.0, 500.0, 300.0);
     }
-    let (base, oce, oca) = table11_runs(config, 42);
+    let [base, oce, oca] = table11_policy_runs(&config, None);
     let rows: Vec<Vec<String>> = [&base, &oce, &oca]
         .into_iter()
         .map(|r| {
@@ -355,24 +356,11 @@ pub fn table5_metrics(scenario: &Scenario) -> Vec<crate::report::Metric> {
 /// Structured Table XI record: the auto-scaler comparison against the
 /// paper's reported values, plus the combined simulation-event count,
 /// for `run_all --json`. Quick runs shorten the ramp, so measured
-/// values drift from the paper targets; the record reports both.
-pub fn table11_record(quick: bool) -> (u64, Vec<crate::report::Metric>) {
-    table11_record_with(quick, None)
-}
-
-/// [`table11_record`] with flight recording: the three policy runs go
-/// through [`table11_runs_traced`], so each run's windows, engine
-/// phases, and scale decisions land on `flight` (in fixed
-/// baseline/OC-E/OC-A order). The returned record is byte-identical to
-/// the untraced one — tracing is a side channel, never a perturbation.
-pub fn table11_record_traced(
-    quick: bool,
-    flight: &FlightHandle,
-) -> (u64, Vec<crate::report::Metric>) {
-    table11_record_with(quick, Some(flight))
-}
-
-fn table11_record_with(
+/// values drift from the paper targets; the record reports both. With
+/// `flight`, each run's windows, engine phases, and scale decisions land
+/// on it (in fixed baseline/OC-E/OC-A order); the record is the same
+/// either way — tracing is a side channel, never a perturbation.
+pub fn table11_record(
     quick: bool,
     flight: Option<&FlightHandle>,
 ) -> (u64, Vec<crate::report::Metric>) {
@@ -381,10 +369,7 @@ fn table11_record_with(
     if quick {
         config.schedule = ramp_schedule(500.0, 2500.0, 500.0, 300.0);
     }
-    let (base, oce, oca) = match flight {
-        Some(flight) => table11_runs_traced(config, 42, flight),
-        None => table11_runs(config, 42),
-    };
+    let [base, oce, oca] = table11_policy_runs(&config, flight);
     let sim_events = base.sim_events + oce.sim_events + oca.sim_events;
     // Paper Table XI: P95 1.00/0.58/0.46, Max VMs 6/6/5,
     // VMxHours 2.20/2.17/1.95, power +0/+7/+27%.

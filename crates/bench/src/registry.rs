@@ -35,148 +35,98 @@ impl Mode {
     }
 }
 
-/// One runnable experiment: an id, a title, and the two output paths
-/// (rendered text and machine-readable record).
-pub trait Experiment: Sync {
-    /// Stable identifier in paper order (`"table1"` ... `"fig16"`).
-    fn id(&self) -> &'static str;
+/// A metrics hook: simulation-event count plus paper-anchored metrics.
+/// With a flight recorder, a simulation-backed hook records its runs
+/// into it; the returned numbers never depend on whether it does
+/// (tracing is a side channel).
+type MetricsFn = fn(&Scenario, Mode, Option<&FlightHandle>) -> (u64, Vec<Metric>);
 
-    /// Human-readable title, as it appears in the JSONL records and
-    /// `run_all --list`.
-    fn title(&self) -> &'static str;
-
-    /// Renders the human-readable table/series.
-    fn render(&self, scenario: &Scenario, mode: Mode) -> String;
-
-    /// Produces the simulation-event count and structured metrics for
-    /// the machine-readable record. Analytic experiments default to
-    /// timing the render and reporting its line count.
-    fn measure(&self, scenario: &Scenario, mode: Mode) -> (u64, Vec<Metric>) {
-        let out = self.render(scenario, mode);
-        (
-            0,
-            vec![Metric::new(
-                "output_lines",
-                "count",
-                out.lines().count() as f64,
-            )],
-        )
-    }
-
-    /// Runs the experiment and assembles its record. `wall_ms` is the
-    /// only non-deterministic field.
-    fn run(&self, scenario: &Scenario, mode: Mode) -> ExperimentRecord {
-        let started = Instant::now();
-        let (sim_events, metrics) = self.measure(scenario, mode);
-        ExperimentRecord {
-            id: self.id(),
-            title: self.title().to_string(),
-            wall_ms: started.elapsed().as_secs_f64() * 1e3,
-            sim_events,
-            metrics,
-        }
-    }
-
-    /// [`measure`](Self::measure) with a flight recorder available.
-    /// Experiments without flight instrumentation fall through to the
-    /// plain measurement; either way the returned record must be
-    /// byte-identical to the untraced one (tracing is a side channel).
-    fn measure_traced(
-        &self,
-        scenario: &Scenario,
-        mode: Mode,
-        flight: &FlightHandle,
-    ) -> (u64, Vec<Metric>) {
-        let _ = flight;
-        self.measure(scenario, mode)
-    }
-
-    /// [`run`](Self::run) with flight recording: wraps the measurement
-    /// in a `bench`/`<id>` span closing at the recorder's latest
-    /// simulation time, so every run's internal spans nest under one
-    /// experiment-level span.
-    fn run_traced(
-        &self,
-        scenario: &Scenario,
-        mode: Mode,
-        flight: &FlightHandle,
-    ) -> ExperimentRecord {
-        let started = Instant::now();
-        let token = flight
-            .borrow_mut()
-            .open("bench", self.id(), TraceLevel::Info, vec![]);
-        let (sim_events, metrics) = self.measure_traced(scenario, mode, flight);
-        if let Some(token) = token {
-            let mut f = flight.borrow_mut();
-            let end = f.max_end();
-            f.close_at(token, end);
-        }
-        ExperimentRecord {
-            id: self.id(),
-            title: self.title().to_string(),
-            wall_ms: started.elapsed().as_secs_f64() * 1e3,
-            sim_events,
-            metrics,
-        }
-    }
+/// The record of an experiment without paper-anchored metrics: no
+/// simulation events, and the rendered text's line count.
+fn output_lines(text: &str) -> (u64, Vec<Metric>) {
+    (
+        0,
+        vec![Metric::new(
+            "output_lines",
+            "count",
+            text.lines().count() as f64,
+        )],
+    )
 }
 
-/// A metrics hook: simulation-event count plus paper-anchored metrics.
-type MetricsFn = fn(&Scenario, Mode) -> (u64, Vec<Metric>);
-
-/// A metrics hook that also records spans into a flight recorder. The
-/// returned numbers must be byte-identical to the plain [`MetricsFn`]'s.
-type TracedMetricsFn = fn(&Scenario, Mode, &FlightHandle) -> (u64, Vec<Metric>);
-
-/// A registry entry built from plain function pointers.
+/// One runnable experiment: an id, a title, and the two output paths
+/// (rendered text and machine-readable record).
 #[derive(Debug)]
 pub struct FnExperiment {
     id: &'static str,
     title: &'static str,
     render: fn(&Scenario, Mode) -> String,
-    /// `Some` for experiments with paper-anchored structured metrics;
-    /// `None` falls back to the line-count default.
+    /// `Some` for experiments with structured metrics or flight
+    /// instrumentation; `None` falls back to [`output_lines`] of the
+    /// render.
     metrics: Option<MetricsFn>,
-    /// `Some` for simulation-backed experiments instrumented for the
-    /// flight recorder; `None` falls back to the untraced measurement.
-    traced: Option<TracedMetricsFn>,
 }
 
-impl Experiment for FnExperiment {
-    fn id(&self) -> &'static str {
+impl FnExperiment {
+    /// Stable identifier in paper order (`"table1"` ... `"fig16"`).
+    pub fn id(&self) -> &'static str {
         self.id
     }
-    fn title(&self) -> &'static str {
+
+    /// Human-readable title, as it appears in the JSONL records and
+    /// `run_all --list`.
+    pub fn title(&self) -> &'static str {
         self.title
     }
-    fn render(&self, scenario: &Scenario, mode: Mode) -> String {
+
+    /// Renders the human-readable table/series.
+    pub fn render(&self, scenario: &Scenario, mode: Mode) -> String {
         (self.render)(scenario, mode)
     }
-    fn measure(&self, scenario: &Scenario, mode: Mode) -> (u64, Vec<Metric>) {
-        match self.metrics {
-            Some(f) => f(scenario, mode),
-            None => {
-                let out = self.render(scenario, mode);
-                (
-                    0,
-                    vec![Metric::new(
-                        "output_lines",
-                        "count",
-                        out.lines().count() as f64,
-                    )],
-                )
-            }
-        }
-    }
-    fn measure_traced(
+
+    /// Produces the simulation-event count and structured metrics for
+    /// the machine-readable record, recording into `flight` when the
+    /// experiment is flight-instrumented.
+    pub fn measure(
         &self,
         scenario: &Scenario,
         mode: Mode,
-        flight: &FlightHandle,
+        flight: Option<&FlightHandle>,
     ) -> (u64, Vec<Metric>) {
-        match self.traced {
+        match self.metrics {
             Some(f) => f(scenario, mode, flight),
-            None => self.measure(scenario, mode),
+            None => output_lines(&self.render(scenario, mode)),
+        }
+    }
+
+    /// Runs the experiment and assembles its record. `wall_ms` is the
+    /// only non-deterministic field. With `flight`, the measurement is
+    /// wrapped in a `bench`/`<id>` span closing at the recorder's latest
+    /// simulation time, so every run's internal spans nest under one
+    /// experiment-level span; the record is the same either way.
+    pub fn run(
+        &self,
+        scenario: &Scenario,
+        mode: Mode,
+        flight: Option<&FlightHandle>,
+    ) -> ExperimentRecord {
+        let started = Instant::now();
+        let token = flight.and_then(|f| {
+            f.borrow_mut()
+                .open("bench", self.id, TraceLevel::Info, vec![])
+        });
+        let (sim_events, metrics) = self.measure(scenario, mode, flight);
+        if let (Some(flight), Some(token)) = (flight, token) {
+            let mut f = flight.borrow_mut();
+            let end = f.max_end();
+            f.close_at(token, end);
+        }
+        ExperimentRecord {
+            id: self.id,
+            title: self.title.to_string(),
+            wall_ms: started.elapsed().as_secs_f64() * 1e3,
+            sim_events,
+            metrics,
         }
     }
 }
@@ -190,175 +140,150 @@ static REGISTRY: [FnExperiment; 31] = [
         title: "Table I: cooling technologies",
         render: |_, _| tables::table1(),
         metrics: None,
-        traced: None,
     },
     FnExperiment {
         id: "table2",
         title: "Table II: dielectric fluids",
         render: |s, _| tables::table2(s),
         metrics: None,
-        traced: None,
     },
     FnExperiment {
         id: "table3",
         title: "Table III: max turbo, air vs 2PIC",
         render: |s, _| tables::table3(s),
-        metrics: Some(|s, _| (0, tables::table3_metrics(s))),
-        traced: None,
+        metrics: Some(|s, _, _| (0, tables::table3_metrics(s))),
     },
     FnExperiment {
         id: "table4",
         title: "Table IV: failure-mode dependencies",
         render: |s, _| tables::table4(s),
         metrics: None,
-        traced: None,
     },
     FnExperiment {
         id: "table5",
         title: "Table V: projected lifetime",
         render: |s, _| tables::table5(s),
-        metrics: Some(|s, _| (0, tables::table5_metrics(s))),
-        traced: None,
+        metrics: Some(|s, _, _| (0, tables::table5_metrics(s))),
     },
     FnExperiment {
         id: "table6",
         title: "Table VI: TCO analysis",
         render: |_, _| tables::table6(),
         metrics: None,
-        traced: None,
     },
     FnExperiment {
         id: "table7",
         title: "Table VII: CPU frequency configurations",
         render: |s, _| tables::table7(s),
         metrics: None,
-        traced: None,
     },
     FnExperiment {
         id: "table8",
         title: "Table VIII: GPU configurations",
         render: |s, _| tables::table8(s),
         metrics: None,
-        traced: None,
     },
     FnExperiment {
         id: "table9",
         title: "Table IX: applications",
         render: |s, _| tables::table9(s),
         metrics: None,
-        traced: None,
     },
     FnExperiment {
         id: "fig4",
         title: "Figure 4: operating domains",
         render: |_, _| figures::fig4(),
         metrics: None,
-        traced: None,
     },
     FnExperiment {
         id: "fig5",
         title: "Figure 5: high-performance VM classes",
         render: |_, _| figures::fig5(),
         metrics: None,
-        traced: None,
     },
     FnExperiment {
         id: "fig6",
         title: "Figure 6: static vs virtual buffers",
         render: |_, _| figures::fig6(),
         metrics: None,
-        traced: None,
     },
     FnExperiment {
         id: "fig7",
         title: "Figure 7: capacity crisis",
         render: |_, _| figures::fig7(),
         metrics: None,
-        traced: None,
     },
     FnExperiment {
         id: "fig9",
         title: "Figure 9: cloud workloads under overclocking",
         render: |_, _| figures::fig9(),
         metrics: None,
-        traced: None,
     },
     FnExperiment {
         id: "fig10",
         title: "Figure 10: STREAM bandwidth",
         render: |_, _| figures::fig10(),
         metrics: None,
-        traced: None,
     },
     FnExperiment {
         id: "fig11",
         title: "Figure 11: VGG training under GPU overclocking",
         render: |_, _| figures::fig11(),
         metrics: None,
-        traced: None,
     },
     FnExperiment {
         id: "fig12",
         title: "Figure 12: SQL P95 vs pcores",
         render: |_, _| figures::fig12(),
-        metrics: Some(|_, _| (0, figures::fig12_metrics())),
-        traced: None,
+        metrics: Some(|_, _, _| (0, figures::fig12_metrics())),
     },
     FnExperiment {
         id: "fig13",
         title: "Figure 13 / Table X: oversubscription",
         render: |_, _| figures::fig13(),
         metrics: None,
-        traced: None,
     },
     FnExperiment {
         id: "fig8",
         title: "Figure 8: hiding vs avoiding the scale-out",
-        render: |_, m| figures::fig8(m.is_quick()),
-        metrics: None,
-        traced: Some(|_, m, f| figures::fig8_traced(m.is_quick(), f)),
+        render: |_, m| figures::fig8(m.is_quick(), None),
+        metrics: Some(|_, m, f| output_lines(&figures::fig8(m.is_quick(), f))),
     },
     FnExperiment {
         id: "fig14",
         title: "Figure 14: auto-scaling architecture",
         render: |_, _| figures::fig14(),
         metrics: None,
-        traced: None,
     },
     FnExperiment {
         id: "fig15",
         title: "Figure 15: Equation 1 validation",
         render: |_, m| figures::fig15(m.is_quick()),
-        metrics: Some(|_, m| figures::fig15_record(m.is_quick())),
-        traced: Some(|_, m, f| figures::fig15_record_traced(m.is_quick(), f)),
+        metrics: Some(|_, m, f| figures::fig15_record(m.is_quick(), f)),
     },
     FnExperiment {
         id: "fig16",
         title: "Figure 16: utilization under the three policies",
         render: |_, m| figures::fig16(m.is_quick()),
-        metrics: Some(|_, m| figures::fig16_record(m.is_quick())),
-        traced: Some(|_, m, f| figures::fig16_record_traced(m.is_quick(), f)),
+        metrics: Some(|_, m, f| figures::fig16_record(m.is_quick(), f)),
     },
     FnExperiment {
         id: "table11",
         title: "Table XI: auto-scaler comparison",
         render: |_, m| tables::table11(m.is_quick()),
-        metrics: Some(|_, m| tables::table11_record(m.is_quick())),
-        traced: Some(|_, m, f| tables::table11_record_traced(m.is_quick(), f)),
+        metrics: Some(|_, m, f| tables::table11_record(m.is_quick(), f)),
     },
     FnExperiment {
         id: "composed",
         title: "Composed control plane: ASC + capping + governor + failover",
         render: |s, m| composed::composed(s.rng_stream, m.is_quick()),
-        metrics: Some(|s, m| composed::composed_record(s.rng_stream, m.is_quick())),
-        traced: Some(|s, m, f| composed::composed_record_traced(s.rng_stream, m.is_quick(), f)),
+        metrics: Some(|s, m, f| composed::composed_record(s.rng_stream, m.is_quick(), f)),
     },
     FnExperiment {
         id: "fleet_scale",
         title: "Fleet-scale control plane: 100 / 1k / 10k power domains",
         render: |_, m| fleet_scale::fleet_scale(m.is_quick()),
-        metrics: Some(|_, m| fleet_scale::fleet_scale_record(m.is_quick())),
-        traced: Some(|_, m, f| fleet_scale::fleet_scale_record_traced(m.is_quick(), f)),
+        metrics: Some(|_, m, f| fleet_scale::fleet_scale_record(m.is_quick(), f)),
     },
     // Appended after every pre-versioning record so the first 25 ids
     // (and their byte-identical v1 output) keep their positions.
@@ -366,48 +291,41 @@ static REGISTRY: [FnExperiment; 31] = [
         id: "composed_v2",
         title: "Composed control plane on the v2 sampler stream",
         render: |_, m| composed::composed(StreamVersion::V2, m.is_quick()),
-        metrics: Some(|_, m| composed::composed_record(StreamVersion::V2, m.is_quick())),
-        traced: Some(|_, m, f| {
-            composed::composed_record_traced(StreamVersion::V2, m.is_quick(), f)
-        }),
+        metrics: Some(|_, m, f| composed::composed_record(StreamVersion::V2, m.is_quick(), f)),
     },
     FnExperiment {
         id: "chaos",
         title: "Chaos: wear-coupled faults and graceful degradation, B2 vs OC3",
         render: |s, m| chaos::chaos(s.rng_stream, m.is_quick()),
-        metrics: Some(|s, m| chaos::chaos_record(s.rng_stream, m.is_quick())),
-        traced: Some(|s, m, f| chaos::chaos_record_traced(s.rng_stream, m.is_quick(), f)),
+        metrics: Some(|s, m, f| chaos::chaos_record(s.rng_stream, m.is_quick(), f)),
     },
     // Ablations of the reproduction's own calibration knobs, appended so
-    // the first 27 ids keep their positions. Each renders the same text
-    // in both modes.
+    // the first 27 ids keep their positions. All but the interference
+    // sweep (whose quick mode halves the ramp's dwell) render the same
+    // text in both modes.
     FnExperiment {
         id: "ablation_interference",
         title: "Ablation: scale-out interference vs Table XI shape",
-        render: |_, _| ablations::ablation_interference(),
+        render: |_, m| ablations::ablation_interference(m.is_quick()),
         metrics: None,
-        traced: None,
     },
     FnExperiment {
         id: "ablation_policies",
         title: "Ablation: reactive vs predictive vs overclocking policies",
         render: |_, _| ablations::ablation_policies(),
         metrics: None,
-        traced: None,
     },
     FnExperiment {
         id: "ablation_lifetime",
         title: "Ablation: lifetime-model parameter sensitivity",
         render: |_, _| ablations::ablation_lifetime(),
         metrics: None,
-        traced: None,
     },
     FnExperiment {
         id: "ablation_packing",
         title: "Ablation: placement policy x oversubscription (6 h heavy trace)",
         render: |_, _| ablations::ablation_packing(),
         metrics: None,
-        traced: None,
     },
 ];
 
@@ -491,22 +409,7 @@ pub fn run_one(
         .iter()
         .find(|e| e.id == id)
         .ok_or_else(|| UnknownExperiment { id: id.to_string() })?;
-    Ok(exp.run(scenario, mode))
-}
-
-/// Runs the selected experiments (all of them for `only: None`) and
-/// returns their records in registration order, fanning out across
-/// `jobs` threads.
-pub fn run_selected(
-    scenario: &Scenario,
-    mode: Mode,
-    jobs: usize,
-    only: Option<&[String]>,
-) -> Result<Vec<ExperimentRecord>, UnknownExperiment> {
-    let selected = select(only)?;
-    Ok(fan_out(selected.len(), jobs, |i| {
-        selected[i].run(scenario, mode)
-    }))
+    Ok(exp.run(scenario, mode, None))
 }
 
 /// Ring capacity for each experiment's private flight recorder. Large
@@ -514,29 +417,36 @@ pub fn run_selected(
 /// reported (not silently lost) via the merged recorder's drop counter.
 const EXPERIMENT_FLIGHT_CAPACITY: usize = 1 << 18;
 
-/// [`run_selected`] with flight recording: each experiment records into
-/// a private recorder (so parallel workers never contend), and the
-/// recorders are absorbed into `flight` in registration order — the
-/// merged trace is byte-identical for every `jobs` value. The records
-/// themselves match the untraced ones modulo `wall_ms`.
-pub fn run_selected_traced(
+/// Runs the selected experiments (all of them for `only: None`) and
+/// returns their records in registration order, fanning out across
+/// `jobs` threads.
+///
+/// With `flight`, each experiment records into a private recorder (so
+/// parallel workers never contend), and the recorders are absorbed into
+/// `flight` in registration order — the merged trace is byte-identical
+/// for every `jobs` value. The records themselves match the untraced
+/// ones modulo `wall_ms`.
+pub fn run_selected(
     scenario: &Scenario,
     mode: Mode,
     jobs: usize,
     only: Option<&[String]>,
-    flight: &FlightHandle,
+    flight: Option<&FlightHandle>,
 ) -> Result<Vec<ExperimentRecord>, UnknownExperiment> {
     let selected = select(only)?;
     let n = selected.len();
+    let Some(flight) = flight else {
+        return Ok(fan_out(n, jobs, |i| selected[i].run(scenario, mode, None)));
+    };
     let results = ParPool::with_workers(jobs.clamp(1, n.max(1))).scatter_gather_traced(
         (0..n).collect(),
         EXPERIMENT_FLIGHT_CAPACITY,
-        |_, i, task_flight| selected[i].run_traced(scenario, mode, task_flight),
+        |_, i, task_flight| selected[i].run(scenario, mode, Some(task_flight)),
     );
     let mut merged = flight.borrow_mut();
     let mut records = Vec::with_capacity(n);
     for ((record, task_flight), exp) in results.into_iter().zip(&selected) {
-        merged.absorb(task_flight, exp.id());
+        merged.absorb(task_flight, exp.id);
         records.push(record);
     }
     Ok(records)
@@ -599,14 +509,14 @@ mod tests {
     #[test]
     fn traced_records_match_untraced_and_merged_trace_is_jobs_invariant() {
         let s = Scenario::paper();
-        // fig8 is flight-instrumented; table3 exercises the untraced
-        // fallback inside the traced fan-out.
+        // fig8 is flight-instrumented; table3 ignores the recorder
+        // inside the traced fan-out.
         let only = vec!["table3".to_string(), "fig8".to_string()];
-        let plain = run_selected(&s, Mode::Quick, 1, Some(&only)).unwrap();
+        let plain = run_selected(&s, Mode::Quick, 1, Some(&only), None).unwrap();
         let mut exports = Vec::new();
         for jobs in [1usize, 2, 7] {
             let flight = ic_obs::flight::shared_flight(EXPERIMENT_FLIGHT_CAPACITY);
-            let traced = run_selected_traced(&s, Mode::Quick, jobs, Some(&only), &flight).unwrap();
+            let traced = run_selected(&s, Mode::Quick, jobs, Some(&only), Some(&flight)).unwrap();
             assert_eq!(plain.len(), traced.len());
             for (a, b) in plain.iter().zip(&traced) {
                 assert_eq!(a.id, b.id);
@@ -633,8 +543,8 @@ mod tests {
             "table5".to_string(),
             "fig12".to_string(),
         ];
-        let serial = run_selected(&s, Mode::Quick, 1, Some(&only)).unwrap();
-        let parallel = run_selected(&s, Mode::Quick, 4, Some(&only)).unwrap();
+        let serial = run_selected(&s, Mode::Quick, 1, Some(&only), None).unwrap();
+        let parallel = run_selected(&s, Mode::Quick, 4, Some(&only), None).unwrap();
         assert_eq!(serial.len(), parallel.len());
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.id, b.id);

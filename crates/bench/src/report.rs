@@ -4,10 +4,10 @@
 //! line: the experiment id, wall-clock time, the number of simulation
 //! events it processed (zero for analytic experiments), and a list of
 //! [`Metric`]s pairing the paper's reported value with the value this
-//! implementation measures. Encoding goes through `ic_obs::json`, so
+//! implementation measures. Encoding goes through `ic_sim::json`, so
 //! the numeric formatting is byte-stable across runs and platforms.
 
-use ic_obs::json::{write_escaped, write_f64};
+use ic_sim::json::{write_escaped, write_f64};
 
 /// One paper-vs-measured data point inside an experiment record.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,16 +51,16 @@ impl Metric {
 
     fn write_json(&self, out: &mut String) {
         out.push_str("{\"name\":");
-        write_escaped(&self.name, out);
+        write_escaped(out, &self.name);
         out.push_str(",\"unit\":");
-        write_escaped(self.unit, out);
+        write_escaped(out, self.unit);
         out.push_str(",\"paper\":");
         match self.paper {
-            Some(v) => write_f64(v, out),
+            Some(v) => write_f64(out, v),
             None => out.push_str("null"),
         }
         out.push_str(",\"measured\":");
-        write_f64(self.measured, out);
+        write_f64(out, self.measured);
         out.push('}');
     }
 }
@@ -86,11 +86,11 @@ impl ExperimentRecord {
     /// Encodes the record as one JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"id\":");
-        write_escaped(self.id, &mut out);
+        write_escaped(&mut out, self.id);
         out.push_str(",\"title\":");
-        write_escaped(&self.title, &mut out);
+        write_escaped(&mut out, &self.title);
         out.push_str(",\"wall_ms\":");
-        write_f64(self.wall_ms, &mut out);
+        write_f64(&mut out, self.wall_ms);
         out.push_str(",\"sim_events\":");
         out.push_str(&self.sim_events.to_string());
         out.push_str(",\"metrics\":[");

@@ -6,9 +6,9 @@
 //! These spawn the compiled binaries (via `CARGO_BIN_EXE_*`) so they
 //! exercise argument parsing and exit codes exactly as a user would.
 
-use ic_bench::registry::{registry, Experiment};
-use ic_scenario::json::{self, Json};
+use ic_bench::registry::registry;
 use ic_scenario::Scenario;
+use ic_sim::json::{self, Json};
 use std::path::PathBuf;
 use std::process::Command;
 

@@ -116,9 +116,7 @@ impl Cluster {
         kind: &'static str,
         fields: impl FnOnce() -> Vec<(&'static str, Value)>,
     ) {
-        if !self.sinks.is_quiet() {
-            self.sinks.instant(now, "cluster", level, kind, fields());
-        }
+        self.sinks.instant(now, "cluster", level, kind, fields);
     }
 
     /// Records a new placement in the inventory and the host index.

@@ -112,10 +112,12 @@ impl<W: World> ControlPlane<W> {
         }
     }
 
-    /// Attaches observability sinks; the runtime emits a debug-level
-    /// `tick` event and `cp_ticks_total` counters through them. With no
-    /// sinks attached the runtime records nothing — a ported harness is
-    /// byte-identical to its hand-written predecessor.
+    /// Attaches the observability bundle. With a flight recorder, every
+    /// controller tick leaves a debug-level `controlplane`/`tick`
+    /// instant (the controller and how many actions it decided) and
+    /// every scheduled fault a `chaos`/`fault` instant. Detached, the
+    /// runtime records nothing and builds no field list — a ported
+    /// harness is byte-identical to its hand-written predecessor.
     pub fn attach_sinks(&mut self, sinks: ObsSinks) {
         self.state.sinks = sinks;
     }
@@ -263,18 +265,14 @@ impl<W: World> ControlPlane<W> {
         state.world.advance_to(now);
         let action = &state.faults[idx];
         let outcome = state.world.apply(now, "fault", action);
-        if !state.sinks.is_quiet() {
-            state.sinks.instant(
-                now,
-                "chaos",
-                TraceLevel::Info,
-                "fault",
+        state
+            .sinks
+            .instant(now, "chaos", TraceLevel::Info, "fault", || {
                 vec![
                     ("verb", Value::Str(action.verb().to_string())),
                     ("accepted", Value::Bool(outcome.accepted())),
-                ],
-            );
-        }
+                ]
+            });
     }
 
     fn run_tick(state: &mut CpState<W>, now: SimTime, idx: usize) {
@@ -306,25 +304,14 @@ impl<W: World> ControlPlane<W> {
             window_start: state.entries[idx].last_tick,
             decided,
         };
-        if !state.sinks.is_quiet() {
-            state.sinks.instant(
-                now,
-                "controlplane",
-                TraceLevel::Debug,
-                "tick",
+        state
+            .sinks
+            .instant(now, "controlplane", TraceLevel::Debug, "tick", || {
                 vec![
                     ("controller", Value::Str(source.to_string())),
                     ("decided", Value::U64(decided as u64)),
-                ],
-            );
-            if let Some(metrics) = state.sinks.metrics() {
-                let mut m = metrics.borrow_mut();
-                m.counter_add("cp_ticks_total", 1);
-                if decided > 0 {
-                    m.counter_add("cp_actions_total", decided as u64);
-                }
-            }
-        }
+                ]
+            });
         let CpState { world, entries, .. } = state;
         world.post_tick(now, entries[idx].controller.as_ref(), &report);
         state.entries[idx].last_tick = now;

@@ -29,8 +29,9 @@
 //! eviction. Exporters: Chrome Trace Event JSON (loadable in Perfetto
 //! or `chrome://tracing`), JSONL, and a human self-time summary table.
 
-use crate::json::{write_escaped, write_fields, Value};
+use crate::json::{write_fields, Value};
 use ic_sim::hist::LogHistogram;
+use ic_sim::json::write_escaped;
 use ic_sim::time::SimTime;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -653,14 +654,14 @@ impl FlightRecorder {
             out.push_str(",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":");
             out.push_str(&tid.to_string());
             out.push_str(",\"args\":{\"name\":");
-            write_escaped(name, &mut out);
+            write_escaped(&mut out, name);
             out.push_str("}}");
         }
         for span in &self.spans {
             out.push_str(",\n{\"name\":");
-            write_escaped(span.name, &mut out);
+            write_escaped(&mut out, span.name);
             out.push_str(",\"cat\":");
-            write_escaped(span.target, &mut out);
+            write_escaped(&mut out, span.target);
             if span.kind == SpanKind::Instant {
                 out.push_str(",\"ph\":\"i\",\"s\":\"t\",\"ts\":");
                 write_us(span.start, &mut out);
@@ -703,7 +704,7 @@ impl FlightRecorder {
             if i > 0 {
                 out.push(',');
             }
-            write_escaped(name, &mut out);
+            write_escaped(&mut out, name);
         }
         out.push_str("],\"dropped\":");
         out.push_str(&self.dropped.to_string());
@@ -720,9 +721,9 @@ impl FlightRecorder {
             out.push_str(",\"depth\":");
             out.push_str(&span.depth.to_string());
             out.push_str(",\"target\":");
-            write_escaped(span.target, &mut out);
+            write_escaped(&mut out, span.target);
             out.push_str(",\"name\":");
-            write_escaped(span.name, &mut out);
+            write_escaped(&mut out, span.name);
             out.push_str(",\"level\":\"");
             out.push_str(span.level.name());
             out.push_str("\",\"ph\":\"");

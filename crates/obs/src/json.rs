@@ -1,16 +1,15 @@
-//! Minimal, deterministic JSON encoding.
+//! Trace-field values and their JSON encoding.
 //!
-//! The hermetic build has no `serde_json`, and the observability layer
-//! needs byte-stable output anyway (the determinism tests compare whole
-//! JSONL files). This module hand-rolls the small subset we need: a
-//! [`Value`] for trace fields plus string escaping and float formatting
-//! with fixed rules (shortest round-trip via `Display`; non-finite
-//! floats become `null`).
+//! A [`Value`] is one field of a flight-recorder span or instant.
+//! Strings and floats are written by the workspace's one JSON codec,
+//! [`ic_sim::json`], so trace exports follow the same byte-stable rules
+//! (shortest round-trip floats, non-finite floats as `null`, RFC 8259
+//! escaping) as scenario files and experiment records.
 
+use ic_sim::json::{write_escaped, write_f64};
 use std::fmt::Write as _;
 
-/// A structured field value attached to trace events and metric
-/// snapshots.
+/// A structured field value attached to trace events.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null`.
@@ -44,8 +43,8 @@ impl Value {
             Value::U64(v) => {
                 let _ = write!(out, "{v}");
             }
-            Value::F64(v) => write_f64(*v, out),
-            Value::Str(s) => write_escaped(s, out),
+            Value::F64(v) => write_f64(out, *v),
+            Value::Str(s) => write_escaped(out, s),
         }
     }
 
@@ -87,50 +86,13 @@ impl From<&str> for Value {
     }
 }
 
-/// Appends `v` as a JSON number. Rust's `Display` for `f64` is the
-/// shortest exact round-trip representation, which is deterministic
-/// across platforms; non-finite values have no JSON encoding and become
-/// `null`.
-pub fn write_f64(v: f64, out: &mut String) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-/// Appends `s` as a quoted, escaped JSON string.
-///
-/// Escaping rules: the two mandatory characters (`"` and `\`), the
-/// common control shorthands (`\n`, `\r`, `\t`), `\uXXXX` for the
-/// remaining C0 controls **and** DEL (`\u{7f}`) — raw DEL is legal JSON
-/// but trips naive line-oriented consumers — and everything else,
-/// including astral-plane characters, verbatim as UTF-8.
-pub fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 || c == '\u{7f}' => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Appends a `"key":value` pair list (no braces) for the given fields.
 pub fn write_fields(fields: &[(&str, Value)], out: &mut String) {
     for (i, (key, value)) in fields.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        write_escaped(key, out);
+        write_escaped(out, key);
         out.push(':');
         value.write_json(out);
     }

@@ -1,4 +1,4 @@
-//! `ic-obs`: structured tracing and metrics for the simulation stack.
+//! `ic-obs`: structured tracing for the simulation stack.
 //!
 //! The paper's control plane (Fig. 14) runs entirely on telemetry —
 //! Aperf/Pperf counters feeding Equation 1 — yet a reproduction is only
@@ -6,10 +6,6 @@
 //! bound a governor grant, which Equation-1 inputs triggered a scale-up,
 //! when a VM was created and where it landed. This crate is that layer:
 //!
-//! * [`metrics`] — a [`metrics::MetricsRegistry`] of labeled counters,
-//!   gauges, and constant-memory log-bin histograms (reusing
-//!   [`ic_sim::hist::LogHistogram`]), with deterministic iteration order
-//!   and a JSON snapshot.
 //! * [`flight`] — the flight recorder, the crate's one recorder:
 //!   deterministic *hierarchical* spans ([`flight::FlightRecorder`] +
 //!   the [`flight::SpanGuard`] RAII API) and structured instants (the
@@ -21,9 +17,12 @@
 //!   / `chrome://tracing`), JSONL, and a human self-time summary table
 //!   backed by [`ic_sim::hist::LogHistogram`].
 //! * [`sinks`] — the [`sinks::ObsSinks`] bundle: one value carrying
-//!   the optional metrics and flight handles that every instrumented
-//!   component attaches through its one `attach_sinks`/`with_sinks`
-//!   entry point, with a single [`sinks::ObsSinks::instant`] emit.
+//!   the optional flight handle that every instrumented component
+//!   attaches through its one `attach_sinks`/`with_sinks` entry point,
+//!   with a single [`sinks::ObsSinks::instant`] emit whose field list
+//!   is only built when a recorder is attached.
+//! * [`json`] — [`json::Value`], the trace-field type, encoded through
+//!   the workspace's one JSON codec, [`ic_sim::json`].
 //! * [`engine_obs`] — [`engine_obs::EngineSpans`], an adapter
 //!   implementing [`ic_sim::observe::EngineObserver`] so the M/G/k
 //!   event loop feeds the flight recorder without `ic-sim` or
@@ -60,7 +59,7 @@
 //!     "asc",
 //!     TraceLevel::Info,
 //!     "scale_out",
-//!     vec![("active_vms", Value::U64(2)), ("util", Value::F64(0.61))],
+//!     || vec![("active_vms", Value::U64(2)), ("util", Value::F64(0.61))],
 //! );
 //! let rec = flight.borrow();
 //! assert_eq!(rec.counts_by_kind()[&("asc", "scale_out")], 1);
@@ -71,7 +70,6 @@
 pub mod engine_obs;
 pub mod flight;
 pub mod json;
-pub mod metrics;
 pub mod sinks;
 
 pub use engine_obs::EngineSpans;
@@ -80,5 +78,4 @@ pub use flight::{
     SpanToken, TraceLevel,
 };
 pub use json::Value;
-pub use metrics::{shared_registry, MetricsHandle, MetricsRegistry};
 pub use sinks::ObsSinks;

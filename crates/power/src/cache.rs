@@ -30,7 +30,6 @@ use crate::cpu::{CpuSku, SteadyState};
 use crate::units::{Frequency, Voltage, BIN_MHZ};
 use ic_obs::flight::{FlightHandle, TraceLevel};
 use ic_obs::json::Value;
-use ic_obs::metrics::MetricsRegistry;
 use ic_thermal::junction::ThermalInterface;
 
 /// The memo key: every input the fixed point depends on, quantized to
@@ -296,17 +295,6 @@ impl SteadyStateCache {
     /// Detaches the flight recorder (lookups go back to counting only).
     pub fn detach_flight(&self) {
         *self.flight.borrow_mut() = None;
-    }
-
-    /// Publishes the cache's state into `metrics` as gauges:
-    /// `steady_cache_hits`, `steady_cache_misses`,
-    /// `steady_cache_hit_rate` (matching [`hit_rate`](Self::hit_rate)
-    /// exactly), and `steady_cache_size`.
-    pub fn export_metrics(&self, metrics: &mut MetricsRegistry) {
-        metrics.gauge_set("steady_cache_hits", self.hits.get() as f64);
-        metrics.gauge_set("steady_cache_misses", self.misses.get() as f64);
-        metrics.gauge_set("steady_cache_hit_rate", self.hit_rate());
-        metrics.gauge_set("steady_cache_size", self.len() as f64);
     }
 }
 
@@ -581,7 +569,7 @@ mod tests {
     }
 
     #[test]
-    fn exported_gauges_match_counters_and_hit_rate() {
+    fn counters_and_hit_rate_match_lookups() {
         let cache = SteadyStateCache::new();
         let sku = CpuSku::skylake_8180();
         let iface = ThermalInterface::air(35.0, 12.1, 0.21);
@@ -591,16 +579,14 @@ mod tests {
         }
         cache.steady_state(&sku, &iface, sku.air_turbo(), sku.nominal_voltage());
 
-        let mut metrics = MetricsRegistry::new();
-        cache.export_metrics(&mut metrics);
-        assert_eq!(metrics.gauge("steady_cache_hits"), Some(3.0));
-        assert_eq!(metrics.gauge("steady_cache_misses"), Some(2.0));
+        assert_eq!(cache.hits(), 3);
+        assert_eq!(cache.misses(), 2);
         assert_eq!(
-            metrics.gauge("steady_cache_hit_rate"),
-            Some(cache.hit_rate())
+            cache.hit_rate(),
+            cache.hits() as f64 / (cache.hits() + cache.misses()) as f64
         );
-        assert_eq!(metrics.gauge("steady_cache_hit_rate"), Some(0.6));
-        assert_eq!(metrics.gauge("steady_cache_size"), Some(2.0));
+        assert_eq!(cache.hit_rate(), 0.6);
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]

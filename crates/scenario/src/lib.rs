@@ -13,7 +13,7 @@
 //! edited calibration without recompiling.
 //!
 //! The vendored `serde` is a hermetic stub, so the JSON codec is
-//! hand-rolled in [`json`]; floats use shortest round-trip formatting,
+//! hand-rolled in [`ic_sim::json`]; floats use shortest round-trip formatting,
 //! which makes `paper() → JSON → from_json` reproduce every field
 //! bit-for-bit.
 
@@ -23,9 +23,7 @@ use std::collections::HashSet;
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
 
-pub mod json;
-
-use json::Json;
+use ic_sim::json::{self, Json};
 
 /// An error producing or consuming a scenario.
 #[derive(Debug, Clone, PartialEq)]

@@ -9,7 +9,9 @@
 //! discrete-event queue ([`queue::EventQueue`]), seeded random-number
 //! generation ([`rng::SimRng`]), probability distributions implemented
 //! in-crate ([`dist`]), and streaming statistics ([`stats`]) used to report
-//! the P95/P99 metrics the paper's evaluation is built on.
+//! the P95/P99 metrics the paper's evaluation is built on. [`json`] is
+//! the workspace's one JSON codec: scenario files, trace exports and
+//! experiment records all read and write through it.
 //!
 //! # Example
 //!
@@ -33,6 +35,7 @@
 
 pub mod dist;
 pub mod hist;
+pub mod json;
 pub mod observe;
 pub mod queue;
 pub mod rng;

@@ -1,7 +1,7 @@
 //! Observability end-to-end: runs the Table XI auto-scaler scenario
-//! with the flight recorder and metrics attached, then prints the
-//! per-policy summary *from the recorded metrics alone* — the
-//! `RunResult` is thrown away to prove the registry captures enough.
+//! with the flight recorder attached, then prints the per-policy
+//! summary: the auto-scaler's decision totals counted off the recorded
+//! instants, beside the run's own latency and VM figures.
 //!
 //! ```sh
 //! cargo run --release --example obs_trace
@@ -9,7 +9,7 @@
 
 use immersion_cloud::autoscale::policy::Policy;
 use immersion_cloud::autoscale::runner::{ramp_schedule, Runner, RunnerConfig};
-use immersion_cloud::obs::{shared_flight, shared_registry, ObsSinks};
+use immersion_cloud::obs::{shared_flight, ObsSinks};
 
 fn main() {
     println!("== traced auto-scaling (Table XI scenario) ==\n");
@@ -26,32 +26,26 @@ fn main() {
     let mut kind_counts: Vec<(String, u64)> = Vec::new();
     for policy in [Policy::Baseline, Policy::OcE, Policy::OcA] {
         let flight = shared_flight(1 << 18);
-        let metrics = shared_registry();
-        // Deliberately discard the RunResult: everything printed below
-        // comes from the observability layer.
-        let _ = Runner::new(config.clone(), policy, 42)
-            .with_sinks(
-                ObsSinks::none()
-                    .with_flight(flight.clone())
-                    .with_metrics(metrics.clone()),
-            )
+        let result = Runner::new(config.clone(), policy, 42)
+            .with_sinks(ObsSinks::none().with_flight(flight.clone()))
             .run();
 
-        let reg = metrics.borrow();
+        let rec = flight.borrow();
+        let counts = rec.counts_by_kind();
+        let decisions = |kind: &'static str| counts.get(&("asc", kind)).copied().unwrap_or(0);
         println!(
             "{:10} {:>10} {:>10} {:>10} {:>9.2} {:>8} {:>9.2}",
             format!("{policy:?}"),
-            reg.counter("asc_decisions_total{step}"),
-            reg.counter("asc_decisions_total{scale_out}"),
-            reg.counter("asc_decisions_total{scale_in}"),
-            reg.gauge("runner_p95_latency_s").unwrap_or(f64::NAN) * 1e3,
-            reg.gauge("runner_max_vms").unwrap_or(f64::NAN),
-            reg.gauge("runner_vm_hours").unwrap_or(f64::NAN),
+            decisions("step"),
+            decisions("scale_out"),
+            decisions("scale_in"),
+            result.p95_latency_s * 1e3,
+            result.max_vms,
+            result.vm_hours,
         );
 
         if matches!(policy, Policy::OcA) {
-            let rec = flight.borrow();
-            for ((target, kind), n) in rec.counts_by_kind() {
+            for ((target, kind), n) in counts {
                 kind_counts.push((format!("{target}/{kind}"), n));
             }
             sample_lines = rec

@@ -6,8 +6,8 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`scenario`] | `ic-scenario` | Serializable calibration scenarios (`Scenario::paper()`, JSON codec) |
-//! | [`sim`] | `ic-sim` | Discrete-event queue, RNG, distributions, statistics |
+//! | [`scenario`] | `ic-scenario` | Serializable calibration scenarios (`Scenario::paper()`, JSON files) |
+//! | [`sim`] | `ic-sim` | Discrete-event queue, RNG, distributions, statistics, JSON codec |
 //! | [`par`] | `ic-par` | Deterministic scatter-gather pool for intra-experiment sweeps |
 //! | [`thermal`] | `ic-thermal` | Cooling technologies, fluids, junction model, tanks |
 //! | [`power`] | `ic-power` | V/f curves, leakage, socket/server power, capping |
@@ -20,7 +20,7 @@
 //! | [`controlplane`] | `ic-controlplane` | Controller trait, telemetry bus, single-clock control-plane runtime |
 //! | [`chaos`] | `ic-chaos` | Wear-coupled fault injection, graceful degradation, SLO scorecard |
 //! | [`tco`] | `ic-tco` | Table VI TCO model |
-//! | [`obs`] | `ic-obs` | Structured tracing, metrics registry, engine observer |
+//! | [`obs`] | `ic-obs` | Flight recorder (structured tracing), engine observer |
 //!
 //! # Quickstart
 //!

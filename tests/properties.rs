@@ -420,79 +420,6 @@ fn histogram_merge_commutative_associative() {
     });
 }
 
-/// Registry merge adds counters, sums histogram populations, and keeps
-/// snapshots byte-identical regardless of insertion order.
-#[test]
-fn registry_merge_adds_and_orders_deterministically() {
-    use immersion_cloud::obs::MetricsRegistry;
-    check("registry_merge_adds_and_orders_deterministically", |rng| {
-        let names = ["a_total", "b_total", "c_total"];
-        let fill = |rng: &mut SimRng| {
-            let mut reg = MetricsRegistry::new();
-            // Insert in a random order; BTreeMap storage must make the
-            // snapshot independent of it.
-            let mut order: Vec<usize> = (0..names.len()).collect();
-            for i in (1..order.len()).rev() {
-                order.swap(i, rng.index(i + 1));
-            }
-            let mut counts = [0u64; 3];
-            for &i in &order {
-                let n = rng.index(50) as u64;
-                reg.counter_add(names[i], n);
-                counts[i] = n;
-            }
-            for v in vec_of(rng, 1, 60, |r| r.uniform_range(1e-4, 10.0)) {
-                reg.histogram_record("lat_seconds", v);
-            }
-            (reg, counts)
-        };
-        let (a, ca) = fill(rng);
-        let (b, cb) = fill(rng);
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        for (i, name) in names.iter().enumerate() {
-            assert_eq!(ab.counter(name), ca[i] + cb[i]);
-            assert_eq!(ab.counter(name), ba.counter(name));
-        }
-        let merged_count = ab.histogram("lat_seconds").map_or(0, |h| h.count());
-        let a_count = a.histogram("lat_seconds").map_or(0, |h| h.count());
-        let b_count = b.histogram("lat_seconds").map_or(0, |h| h.count());
-        assert_eq!(merged_count, a_count + b_count);
-        assert_eq!(
-            ab.to_json(),
-            ba.to_json(),
-            "merge order leaked into snapshot"
-        );
-    });
-}
-
-/// Registry quantiles are order statistics of the recorded samples:
-/// monotone in q and never above the histogram's observed max.
-#[test]
-fn registry_quantiles_bounded() {
-    use immersion_cloud::obs::MetricsRegistry;
-    check("registry_quantiles_bounded", |rng| {
-        let mut reg = MetricsRegistry::new();
-        let values = vec_of(rng, 1, 200, |r| r.uniform_range(1e-5, 1e3));
-        for &v in &values {
-            reg.histogram_record("x", v);
-        }
-        let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let mut last = 0.0;
-        for q in [0.0, 0.25, 0.5, 0.95, 0.99, 1.0] {
-            let est = reg.quantile("x", q);
-            assert!(est >= last - 1e-12, "quantile not monotone at q={q}");
-            assert!(
-                est <= max + 1e-12,
-                "quantile {est} above max {max} at q={q}"
-            );
-            last = est;
-        }
-    });
-}
-
 /// Scenario JSON round-trips losslessly: serialize → parse recovers
 /// every field, even after random f64 perturbations (the writer emits
 /// shortest-round-trip literals).

@@ -4,12 +4,13 @@
 //! Flight records — spans, engine phases and the auto-scaler's decision
 //! instants — are keyed by simulation time plus a recorder-assigned
 //! sequence number, never wall clock, so the JSONL and Chrome-trace
-//! exports of a seeded run are reproducible down to the byte, and so is
-//! the metrics snapshot.
+//! exports of a seeded run are reproducible down to the byte. The
+//! recorder also carries the run's decision totals: counting its
+//! `asc/*` instants gives them.
 
 use immersion_cloud::autoscale::policy::Policy;
 use immersion_cloud::autoscale::runner::{ramp_schedule, Runner, RunnerConfig};
-use immersion_cloud::obs::{shared_flight, shared_registry, FlightHandle, ObsSinks};
+use immersion_cloud::obs::{shared_flight, FlightHandle, ObsSinks};
 
 fn short_config() -> RunnerConfig {
     let mut config = RunnerConfig::paper();
@@ -19,38 +20,33 @@ fn short_config() -> RunnerConfig {
     config
 }
 
-/// One traced run: the flight recorder and the metrics snapshot.
-fn traced_run(policy: Policy, seed: u64) -> (FlightHandle, String) {
-    let flight = shared_flight(1 << 16);
-    let metrics = shared_registry();
-    Runner::new(short_config(), policy, seed)
-        .with_sinks(
-            ObsSinks::none()
-                .with_flight(flight.clone())
-                .with_metrics(metrics.clone()),
-        )
+/// One traced run of `config`; the recorder must hold every record.
+fn record(config: RunnerConfig, policy: Policy, seed: u64, capacity: usize) -> FlightHandle {
+    let flight = shared_flight(capacity);
+    Runner::new(config, policy, seed)
+        .with_sinks(ObsSinks::none().with_flight(flight.clone()))
         .run();
     {
         let recorder = flight.borrow();
         assert!(!recorder.is_empty(), "run must record spans");
-        assert_eq!(
-            recorder.dropped(),
-            0,
-            "ring must not overflow in a short run"
-        );
+        assert_eq!(recorder.dropped(), 0, "ring must not overflow");
     }
-    let metrics_json = metrics.borrow().to_json();
-    (flight, metrics_json)
+    flight
+}
+
+/// One traced run on the short ramp.
+fn traced_run(policy: Policy, seed: u64) -> FlightHandle {
+    record(short_config(), policy, seed, 1 << 16)
 }
 
 fn flight_chrome_export(policy: Policy, seed: u64) -> String {
-    traced_run(policy, seed).0.borrow().to_chrome_trace()
+    traced_run(policy, seed).borrow().to_chrome_trace()
 }
 
 #[test]
 fn same_seed_runs_emit_identical_jsonl() {
-    let (a, _) = traced_run(Policy::OcA, 42);
-    let (b, _) = traced_run(Policy::OcA, 42);
+    let a = traced_run(Policy::OcA, 42);
+    let b = traced_run(Policy::OcA, 42);
     let a = a.borrow();
     let b = b.borrow();
     let jsonl = a.to_jsonl();
@@ -61,20 +57,37 @@ fn same_seed_runs_emit_identical_jsonl() {
     assert_eq!(a.summary(), b.summary(), "summaries diverged");
 }
 
+/// The auto-scaler's decision totals, read off the flight recorder, for
+/// the `obs_trace` example's run: the Table XI scenario on the shortened
+/// 500 -> 2500 QPS ramp, seed 42. The expected values are the
+/// `asc_decisions_total{step,scale_out,scale_in}` counters the retired
+/// metrics registry reported for the same runs.
 #[test]
-fn same_seed_runs_emit_identical_metric_snapshots() {
-    let (_, a) = traced_run(Policy::OcE, 7);
-    let (_, b) = traced_run(Policy::OcE, 7);
-    assert_eq!(a, b, "metric snapshots diverged");
-    assert!(a.contains("asc_decisions_total{step}"));
+fn flight_instants_carry_the_decision_totals() {
+    let mut config = RunnerConfig::paper();
+    config.schedule = ramp_schedule(500.0, 2500.0, 500.0, 300.0);
+    for (policy, steps, scale_outs, scale_ins) in [
+        (Policy::Baseline, 500, 3, 0),
+        (Policy::OcE, 500, 3, 0),
+        (Policy::OcA, 500, 2, 0),
+    ] {
+        let flight = record(config.clone(), policy, 42, 1 << 18);
+        let counts = flight.borrow().counts_by_kind();
+        let count = |kind: &'static str| counts.get(&("asc", kind)).copied().unwrap_or(0);
+        assert_eq!(
+            (count("step"), count("scale_out"), count("scale_in")),
+            (steps, scale_outs, scale_ins),
+            "{policy:?}"
+        );
+    }
 }
 
 #[test]
 fn different_seeds_diverge() {
     // Sanity check that the byte-equality above is not vacuous: the
     // trace actually depends on the stochastic workload.
-    let (a, _) = traced_run(Policy::OcA, 1);
-    let (b, _) = traced_run(Policy::OcA, 2);
+    let a = traced_run(Policy::OcA, 1);
+    let b = traced_run(Policy::OcA, 2);
     assert_ne!(a.borrow().to_jsonl(), b.borrow().to_jsonl());
 }
 
@@ -100,7 +113,7 @@ fn different_seed_flight_traces_diverge() {
 
 #[test]
 fn traces_never_contain_wall_clock_fields() {
-    let (flight, _) = traced_run(Policy::OcA, 42);
+    let flight = traced_run(Policy::OcA, 42);
     let recorder = flight.borrow();
     let jsonl = recorder.to_jsonl();
     let chrome = recorder.to_chrome_trace();
